@@ -69,11 +69,29 @@ bool SameGroup(const Row& a, const Row& b, const std::vector<MergeKey>& keys) {
 // Aggregation units
 // ---------------------------------------------------------------------------
 
+/// Numeric addition that stays integral while both sides are.
+Value Plus(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return Value(a.AsInt() + b.AsInt());
+  return Value(a.ToDouble() + b.ToDouble());
+}
+
 /// Combines partial aggregate values coming from the shards.
 struct AggUnit {
   const AggDesc* desc;
   bool any = false;
   Value acc;
+  /// DISTINCT aggregates: the argument values seen, duplicates included
+  /// (one row per shard that holds the value).
+  std::vector<Value> distinct_values;
+
+  void Add(const Row& row) {
+    if (desc->distinct_index < 0) {
+      Accumulate(row[desc->index]);
+      return;
+    }
+    const Value& v = row[static_cast<size_t>(desc->distinct_index)];
+    if (!v.is_null()) distinct_values.push_back(v);
+  }
 
   void Accumulate(const Value& v) {
     if (v.is_null()) return;
@@ -85,11 +103,7 @@ struct AggUnit {
     switch (desc->kind) {
       case AggKind::kCount:
       case AggKind::kSum:
-        if (acc.is_int() && v.is_int()) {
-          acc = Value(acc.AsInt() + v.AsInt());
-        } else {
-          acc = Value(acc.ToDouble() + v.ToDouble());
-        }
+        acc = Plus(acc, v);
         break;
       case AggKind::kMin:
         if (v.Compare(acc) < 0) acc = v;
@@ -102,11 +116,31 @@ struct AggUnit {
     }
   }
 
-  Value Finish() const {
+  Value Finish() {
+    if (desc->distinct_index >= 0) return FinishDistinct();
     if (!any) {
       return desc->kind == AggKind::kCount ? Value(int64_t{0}) : Value::Null();
     }
     return acc;
+  }
+
+  /// Folds each distinct argument value once: COUNT counts them, SUM and
+  /// AVG add them up.
+  Value FinishDistinct() {
+    std::sort(distinct_values.begin(), distinct_values.end(),
+              [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+    auto end = std::unique(
+        distinct_values.begin(), distinct_values.end(),
+        [](const Value& a, const Value& b) { return a.Compare(b) == 0; });
+    const auto n = static_cast<int64_t>(end - distinct_values.begin());
+    if (desc->kind == AggKind::kCount) return Value(n);
+    if (n == 0) return Value::Null();
+    Value sum = distinct_values[0];
+    for (auto it = distinct_values.begin() + 1; it != end; ++it) {
+      sum = Plus(sum, *it);
+    }
+    if (desc->kind == AggKind::kAvg) return Value(sum.ToDouble() / n);
+    return sum;
   }
 };
 
@@ -120,18 +154,15 @@ class GroupAccumulator {
     units_.clear();
     units_.reserve(ctx_.aggregations.size());
     for (const auto& desc : ctx_.aggregations) {
-      AggUnit unit{&desc, false, Value::Null()};
-      unit.Accumulate(first[desc.index]);
+      AggUnit unit{&desc, false, Value::Null(), {}};
+      unit.Add(first);
       units_.push_back(std::move(unit));
-      // Derived AVG inputs also accumulate.
     }
     StartDerived(first);
   }
 
   void Add(const Row& row) {
-    for (auto& unit : units_) {
-      unit.Accumulate(row[unit.desc->index]);
-    }
+    for (auto& unit : units_) unit.Add(row);
     AddDerived(row);
   }
 
@@ -142,7 +173,7 @@ class GroupAccumulator {
     }
     // AVG = total SUM / total COUNT from the derived columns.
     for (const auto& desc : ctx_.aggregations) {
-      if (desc.kind != AggKind::kAvg) continue;
+      if (desc.kind != AggKind::kAvg || desc.distinct_index >= 0) continue;
       double count = derived_.count(desc.count_index)
                          ? derived_[desc.count_index].ToDouble()
                          : 0.0;
@@ -172,7 +203,7 @@ class GroupAccumulator {
   }
   void AddDerived(const Row& row) {
     for (const auto& desc : ctx_.aggregations) {
-      if (desc.kind != AggKind::kAvg) continue;
+      if (desc.kind != AggKind::kAvg || desc.distinct_index >= 0) continue;
       for (int idx : {desc.count_index, desc.sum_index}) {
         if (idx < 0 || static_cast<size_t>(idx) >= row.size()) continue;
         const Value& v = row[static_cast<size_t>(idx)];
@@ -180,10 +211,8 @@ class GroupAccumulator {
         auto it = derived_.find(idx);
         if (it == derived_.end()) {
           derived_[idx] = v;
-        } else if (it->second.is_int() && v.is_int()) {
-          it->second = Value(it->second.AsInt() + v.AsInt());
         } else {
-          it->second = Value(it->second.ToDouble() + v.ToDouble());
+          it->second = Plus(it->second, v);
         }
       }
     }
@@ -613,8 +642,11 @@ Result<engine::ExecResult> MergeEngine::Merge(
         }
       }
     }
+    // Shards that split by a DISTINCT argument return no row for an empty
+    // table; the logical answer is still one row (COUNT 0, SUM NULL, ...).
+    if (!started) acc.Start(Row(labels.size(), Value::Null()));
     std::vector<Row> rows;
-    if (started) rows.push_back(acc.Finish());
+    rows.push_back(acc.Finish());
     merged = std::make_unique<VectorResultSet>(labels, std::move(rows));
   } else if (has_group) {
     if (ctx.sorted_for_group) {

@@ -371,7 +371,7 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
       desc.index = i;
       desc.kind = AggKindOf(agg->name);
       desc.distinct = agg->distinct;
-      if (desc.kind == AggKind::kAvg) {
+      if (desc.kind == AggKind::kAvg && !desc.distinct) {
         auto count_item = sql::SelectItem(
             std::make_unique<sql::FuncCallExpr>(
                 "COUNT", CloneArgs(agg), false, agg->star),
@@ -435,6 +435,52 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     merge.order_by.push_back(std::move(key));
   }
 
+  // DISTINCT aggregates: per-shard distinct counts/sums do not add up, so
+  // every shard also groups by the argument, returned in a derived column,
+  // and the merger folds the distinct values of each output group. Shapes
+  // the merger cannot fold are refused rather than answered wrongly.
+  std::vector<std::pair<std::string, int>> distinct_cols;  ///< arg -> column
+  for (AggDesc& desc : merge.aggregations) {
+    if (!desc.distinct || desc.kind == AggKind::kMin ||
+        desc.kind == AggKind::kMax) {
+      continue;
+    }
+    const sql::FuncCallExpr* agg = TopLevelAggregate(stmt.items[desc.index]);
+    if (agg->star || agg->args.size() != 1) {
+      return Status::Unsupported(
+          "DISTINCT aggregate over several columns across shards");
+    }
+    std::string arg = agg->args[0]->ToSQL(dialect_);
+    auto found = std::find_if(distinct_cols.begin(), distinct_cols.end(),
+                              [&](const auto& c) { return c.first == arg; });
+    if (found != distinct_cols.end()) {
+      desc.distinct_index = found->second;
+      continue;
+    }
+    desc.distinct_index = static_cast<int>(tmpl->items.size());
+    std::string label =
+        "DISTINCT_DERIVED_" + std::to_string(distinct_cols.size());
+    tmpl->items.emplace_back(agg->args[0]->Clone(), label);
+    tmpl->group_by.push_back(agg->args[0]->Clone());
+    merge.labels.push_back(label);
+    distinct_cols.emplace_back(std::move(arg), desc.distinct_index);
+  }
+  const bool distinct_split = !distinct_cols.empty();
+  if (distinct_split) {
+    if (stmt.having != nullptr) {
+      return Status::Unsupported("HAVING with a DISTINCT aggregate across shards");
+    }
+    for (const auto& o : stmt.order_by) {
+      if (FindItemIndex(stmt.items, o.expr.get(), dialect_) < 0 &&
+          o.expr->kind() == sql::ExprKind::kFuncCall &&
+          static_cast<const sql::FuncCallExpr*>(o.expr.get())->IsAggregate()) {
+        return Status::Unsupported(
+            "ORDER BY an unselected aggregate with a DISTINCT aggregate across "
+            "shards");
+      }
+    }
+  }
+
   // Stream-merger optimization (paper §VI-C): a GROUP BY without ORDER BY
   // gets an ORDER BY over the group keys so the merger can stream.
   if (!stmt.group_by.empty()) {
@@ -456,7 +502,13 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
   }
 
   // Pagination revision (paper §VI-C): each node must return the first
-  // offset+count rows so the merger can skip the true offset globally.
+  // offset+count rows so the merger can skip the true offset globally. That
+  // holds only when a shard's first rows contain every row of the global
+  // first groups: not when groups merge in memory (a shard's local top-N
+  // partial groups are not the global top N) nor when DISTINCT aggregates
+  // split each group by their argument.
+  bool complete_groups_first =
+      !distinct_split && (stmt.group_by.empty() || merge.sorted_for_group);
   if (stmt.limit.has_value()) {
     merge.limit = stmt.limit;
     sql::LimitClause revised;
@@ -464,8 +516,8 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     revised.count = stmt.limit->count < 0
                         ? -1
                         : stmt.limit->offset + stmt.limit->count;
-    if (revised.count < 0) {
-      tmpl->limit.reset();  // OFFSET-only: nodes return everything
+    if (revised.count < 0 || !complete_groups_first) {
+      tmpl->limit.reset();  // nodes return everything
     } else {
       tmpl->limit = revised;
     }

@@ -23,6 +23,10 @@ struct AggDesc {
   bool distinct = false;
   int sum_index = -1;    ///< kAvg: derived SUM column appended by the rewriter
   int count_index = -1;  ///< kAvg: derived COUNT column appended by the rewriter
+  /// COUNT/SUM/AVG(DISTINCT x) over several shards: the derived column that
+  /// carries `x`, which every shard also groups by. The merger folds the
+  /// distinct `x` values of each output group instead of the partials.
+  int distinct_index = -1;
 };
 
 /// Merge key: a physical column index when known at rewrite time, otherwise a

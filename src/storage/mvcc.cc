@@ -123,6 +123,11 @@ EpochManager::~EpochManager() {
 
 uint64_t EpochManager::BeginCommit() {
   commit_mu_.Lock();
+  if (commits_until_refresh_ == 0) {
+    gc_horizon_.store(OldestLiveSnapshot(), std::memory_order_release);
+    commits_until_refresh_ = kHorizonRefreshCommits;
+  }
+  --commits_until_refresh_;
   return visible_.load(std::memory_order_relaxed) + 1;
 }
 

@@ -172,6 +172,7 @@ class EpochManager {
   }
 
   /// Enters the commit critical section and returns the commit epoch.
+  /// Every `kHorizonRefreshCommits`-th call also refreshes `gc_horizon()`.
   uint64_t BeginCommit() SPHERE_ACQUIRE(commit_mu_);
   /// Publishes `epoch` and leaves the critical section.
   void EndCommit(uint64_t epoch) SPHERE_RELEASE(commit_mu_);
@@ -180,7 +181,19 @@ class EpochManager {
 
   /// The oldest epoch any live snapshot may still read (== `visible()` when
   /// nothing is pinned). Versions superseded before this epoch are dead.
+  /// Scans every pin slot; the commit path reads `gc_horizon()` instead.
   uint64_t OldestLiveSnapshot() const;
+
+  /// Commits between two refreshes of the cached GC horizon.
+  static constexpr uint32_t kHorizonRefreshCommits = 32;
+
+  /// `OldestLiveSnapshot()` as of the latest refresh (0 before the first
+  /// commit). Commit-time GC prunes against it without scanning the pin
+  /// slots per row. A stale value is safe: the oldest live snapshot never
+  /// moves backwards, so a lagging horizon only keeps versions longer.
+  uint64_t gc_horizon() const {
+    return gc_horizon_.load(std::memory_order_acquire);
+  }
 
   /// The oldest pinned snapshot epoch, or UINT64_MAX when nothing is pinned
   /// (used by truncation graveyards: a retired chain is freeable once no pin
@@ -212,6 +225,8 @@ class EpochManager {
   /// allocation order; brackets table WriterLocks, hence kTransaction (see
   /// common/lock_rank.h on storage-declared locks carrying higher ranks).
   Mutex commit_mu_{LockRank::kTransaction, "storage/mvcc.commit"};
+  uint32_t commits_until_refresh_ SPHERE_GUARDED_BY(commit_mu_) = 0;
+  std::atomic<uint64_t> gc_horizon_{0};  ///< stored under commit_mu_
   // analyze-exempt(guarded-by): each slot is an atomic claimed by CAS
   PinSlot pins_[kPinSlots];
   std::atomic<uint32_t> pin_cursor_{0};

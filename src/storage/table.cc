@@ -10,7 +10,7 @@ namespace sphere::storage {
 
 namespace {
 
-/// Versions freed by chain pruning across the process (inline + GcVersions).
+/// Versions freed by chain pruning across the process (commit + GcVersions).
 metrics::Counter& GcPrunedCounter() {
   static metrics::Counter* c =
       metrics::Registry::Instance().GetCounter("storage.mvcc.gc_pruned");
@@ -78,15 +78,6 @@ void Table::InstallVersion(const Value& pk, Row data, bool deleted,
   }
   v->older = vr->head;
   vr->head = v;
-  // Amortized inline GC: every few installs, prune this chain down to what
-  // the oldest pinned snapshot can still reach, so hot rows don't grow long
-  // version tails between explicit GcVersions passes.
-  if (v->older != nullptr && (++prune_tick_ & 0x7) == 0) {
-    uint64_t oldest =
-        epochs_ != nullptr ? epochs_->OldestLiveSnapshot() : kEpochLatest;
-    size_t n = PruneChain(vr, oldest);
-    if (n > 0) GcPrunedCounter().Add(static_cast<int64_t>(n));
-  }
 }
 
 size_t Table::PruneChain(VersionedRow* vr, uint64_t oldest) {
@@ -101,16 +92,25 @@ size_t Table::PruneChain(VersionedRow* vr, uint64_t oldest) {
       break;
     }
   }
+  if (keeper == nullptr) return 0;
   size_t freed = 0;
-  if (keeper != nullptr && keeper->older != nullptr) {
-    for (RowVersion* v = keeper->older; v != nullptr; v = v->older) ++freed;
-    VersionPool::Instance().ReleaseChain(keeper->older);
-    keeper->older = nullptr;
+  // A pending version below the keeper was buried by a later writer that
+  // committed over the row; it stays linked because its owner will still
+  // commit or abort it.
+  RowVersion** link = &keeper->older;
+  while (*link != nullptr) {
+    RowVersion* v = *link;
+    if (v->pending()) {
+      link = &v->older;
+      continue;
+    }
+    *link = v->older;
+    VersionPool::Instance().Release(v);
+    ++freed;
   }
   // A chain that reduced to a single dead committed tombstone is fully
   // garbage: no snapshot can resolve a row from it anymore.
-  if (keeper != nullptr && keeper == vr->head && keeper->deleted &&
-      keeper->older == nullptr) {
+  if (keeper == vr->head && keeper->deleted && keeper->older == nullptr) {
     VersionPool::Instance().Release(keeper);
     vr->head = nullptr;
     ++freed;
@@ -224,6 +224,52 @@ void Table::CommitWrite(const Value& pk, int64_t writer, uint64_t epoch) {
   }
   owned_tail->older = vr->head;
   vr->head = owned_head;
+
+  // Commit-time GC (DESIGN.md §15). The horizon trails `epoch`, so this
+  // prune keeps the version just superseded for snapshots up to epoch - 1;
+  // the queue entry frees it once the horizon passes the commit. A fresh
+  // insert superseded nothing and skips both.
+  const uint64_t horizon =
+      epochs_ != nullptr ? epochs_->gc_horizon() : kEpochLatest;
+  size_t freed = 0;
+  if (owned_tail->older != nullptr) {
+    freed += PruneChain(vr, horizon);
+    superseded_.push_back(Superseded{pk, epoch});
+  }
+  freed += ReclaimPassed(horizon);
+  if (freed > 0) GcPrunedCounter().Add(static_cast<int64_t>(freed));
+}
+
+size_t Table::ReclaimPassed(uint64_t horizon) {
+  size_t freed = 0;
+  while (!superseded_.empty() && superseded_.front().epoch <= horizon) {
+    const Value& pk = superseded_.front().pk;
+    VersionedRow* vr = rows_.Find(pk);
+    if (vr != nullptr) {
+      freed += PruneChain(vr, horizon);
+      if (vr->head == nullptr) rows_.Erase(pk);
+    }
+    superseded_.pop_front();
+  }
+  // Retired chains are readable only by snapshots pinned at or before
+  // their retirement; the horizon is at or below every live pin.
+  return freed + DrainGraveyard(horizon);
+}
+
+size_t Table::DrainGraveyard(uint64_t floor) {
+  // Retirements append in epoch order, so the freeable chains are a prefix.
+  size_t n = 0;
+  size_t freed = 0;
+  for (; n < graveyard_.size() && graveyard_[n].epoch < floor; ++n) {
+    for (const RowVersion* v = graveyard_[n].row.head; v != nullptr;
+         v = v->older) {
+      ++freed;
+    }
+  }
+  // Each erased RetiredChain releases its chain.
+  graveyard_.erase(graveyard_.begin(),
+                   graveyard_.begin() + static_cast<std::ptrdiff_t>(n));
+  return freed;
 }
 
 void Table::AbortWrite(const Value& pk, int64_t writer, bool newest_only) {
@@ -298,6 +344,7 @@ void Table::Truncate() {
     }
   }
   rows_.Clear();
+  superseded_.clear();
   std::vector<std::unique_ptr<SecondaryIndex>> rebuilt;
   rebuilt.reserve(indexes_.size());
   for (auto& idx : indexes_) {
@@ -321,21 +368,9 @@ size_t Table::GcVersions() {
     if (vr.head == nullptr) dead_keys.push_back(it.key());
   }
   for (const Value& k : dead_keys) rows_.Erase(k);
-  uint64_t pin_floor = epochs_ != nullptr
-                           ? epochs_->OldestPinOrMax()
-                           : std::numeric_limits<uint64_t>::max();
-  std::vector<RetiredChain> kept;
-  for (auto& rc : graveyard_) {
-    if (rc.epoch < pin_floor) {
-      for (const RowVersion* v = rc.row.head; v != nullptr; v = v->older) {
-        ++pruned;
-      }
-      // chain released by rc's destructor at scope exit
-    } else {
-      kept.push_back(std::move(rc));
-    }
-  }
-  graveyard_ = std::move(kept);
+  pruned += DrainGraveyard(epochs_ != nullptr
+                               ? epochs_->OldestPinOrMax()
+                               : std::numeric_limits<uint64_t>::max());
   if (pruned > 0) GcPrunedCounter().Add(static_cast<int64_t>(pruned));
   return pruned;
 }

@@ -2,6 +2,7 @@
 #define SPHERE_STORAGE_TABLE_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,8 +96,12 @@ class Table {
 
   /// Restamps `writer`'s pending versions under `pk` with commit `epoch`
   /// and relinks them to the chain head, so visibility order follows commit
-  /// order even when concurrent writers interleaved on the row. Caller holds
-  /// the writer latch and the epoch manager's commit section.
+  /// order even when concurrent writers interleaved on the row. Then runs
+  /// commit-time GC against the epoch manager's cached horizon: prunes this
+  /// chain, queues it for a re-prune once the horizon passes `epoch` (the
+  /// version just superseded stays readable until then), re-prunes queued
+  /// chains the horizon has passed and frees graveyard chains past all pins.
+  /// Caller holds the writer latch and the epoch manager's commit section.
   void CommitWrite(const Value& pk, int64_t writer, uint64_t epoch);
 
   /// Unlinks `writer`'s pending versions under `pk`, restoring secondary
@@ -123,16 +128,18 @@ class Table {
     return rows_.LowerBoundIter(key);
   }
 
-  /// Removes every row. Retired chains move to a graveyard drained by
-  /// `GcVersions` once no pinned snapshot can still read them.
+  /// Removes every row. Retired chains move to a graveyard that commit-time
+  /// GC (or `GcVersions`) drains once no pinned snapshot can still read them.
   void Truncate();
 
-  /// Version-chain garbage collection: prunes every version superseded
-  /// before the oldest live snapshot (keeping the newest version at or
-  /// below it), erases keys whose chain reduced to a dead tombstone, and
-  /// frees retired (truncated) chains past all pins. Takes the writer latch
-  /// itself; returns the number of versions freed (also accumulated into
-  /// `storage.mvcc.gc_pruned`).
+  /// Full version-chain sweep against a freshly scanned horizon: prunes
+  /// every version superseded before the oldest live snapshot (keeping the
+  /// newest version at or below it), erases keys whose chain reduced to a
+  /// dead tombstone, and frees retired (truncated) chains past all pins.
+  /// Production relies on commit-time GC (`CommitWrite`); the sweep serves
+  /// tests and self-committing (writer 0) writes, which bypass commit.
+  /// Takes the writer latch itself; returns the number of versions freed
+  /// (also accumulated into `storage.mvcc.gc_pruned`).
   size_t GcVersions() SPHERE_EXCLUDES(latch_);
 
   /// Total version nodes currently chained (live + superseded + pending +
@@ -161,13 +168,20 @@ class Table {
   uint64_t SelfCommitStamp() const {
     return epochs_ != nullptr ? epochs_->visible() : 1;
   }
-  /// Pushes a version at the head of `pk`'s chain (creating the chain) and
-  /// opportunistically prunes versions no pinned snapshot can reach.
+  /// Pushes a version at the head of `pk`'s chain (creating the chain).
   void InstallVersion(const Value& pk, Row data, bool deleted, int64_t writer);
-  /// Frees versions on one chain that are older than the newest committed
-  /// version at or below `oldest`; clears the chain when only a dead
-  /// tombstone remains. Returns versions freed.
+  /// Frees the committed versions on one chain that are older than the
+  /// newest committed version at or below `oldest` (other writers' pending
+  /// versions stay linked for their owners); clears the chain when only a
+  /// dead tombstone remains. Returns versions freed.
   size_t PruneChain(VersionedRow* vr, uint64_t oldest);
+  /// Re-prunes the queued chains whose superseding commit `horizon` has
+  /// passed (erasing keys left with nothing) and frees graveyard chains
+  /// retired before it. Returns versions freed.
+  size_t ReclaimPassed(uint64_t horizon);
+  /// Frees the graveyard chains retired before `floor`. Returns versions
+  /// freed.
+  size_t DrainGraveyard(uint64_t floor);
 
   const std::string name_;
   const Schema schema_;
@@ -186,8 +200,15 @@ class Table {
   };
   // analyze-exempt(guarded-by): guarded by latch_, caller-side discipline
   std::vector<RetiredChain> graveyard_;
+  /// A chain whose newest version committed at `epoch` still holds the
+  /// version it superseded; re-pruned once the GC horizon reaches `epoch`.
+  struct Superseded {
+    Value pk;
+    uint64_t epoch = 0;
+  };
+  /// Commit order, hence non-decreasing epochs: drained from the front.
   // analyze-exempt(guarded-by): guarded by latch_, caller-side discipline
-  uint64_t prune_tick_ = 0;
+  std::deque<Superseded> superseded_;
   // analyze-exempt(guarded-by): internally synchronized (atomic)
   std::atomic<int64_t> live_rows_{0};
   mutable SharedMutex latch_{LockRank::kStorage, "storage/table.latch"};

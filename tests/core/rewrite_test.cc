@@ -134,6 +134,74 @@ TEST(RewriteTest, PaginationRevised) {
   EXPECT_EQ(r.merge.limit->count, 5);
 }
 
+TEST(RewriteTest, MemoryGroupMergeKeepsLimitOffShards) {
+  // A shard's local top-N groups by SUM are not the global top N: every
+  // shard must return all of its partial groups.
+  auto r = MustRewrite(
+      "SELECT name, SUM(score) FROM t_user GROUP BY name "
+      "ORDER BY SUM(score) DESC LIMIT 3",
+      TwoUnitRoute());
+  EXPECT_FALSE(r.merge.sorted_for_group);
+  EXPECT_EQ(r.units[0].sql.find("LIMIT"), std::string::npos);
+  ASSERT_TRUE(r.merge.limit.has_value());
+  EXPECT_EQ(r.merge.limit->count, 3);
+}
+
+TEST(RewriteTest, StreamGroupMergeStillRevisesLimit) {
+  // Shards sorted by the group keys return whole groups first.
+  auto r = MustRewrite(
+      "SELECT name, SUM(score) FROM t_user GROUP BY name LIMIT 2, 3",
+      TwoUnitRoute());
+  EXPECT_TRUE(r.merge.sorted_for_group);
+  EXPECT_NE(r.units[0].sql.find("LIMIT 5"), std::string::npos);
+}
+
+TEST(RewriteTest, DistinctAggregateGroupsShardsByArgument) {
+  auto r = MustRewrite(
+      "SELECT COUNT(DISTINCT age), SUM(DISTINCT age), COUNT(*) FROM t_user "
+      "LIMIT 1",
+      TwoUnitRoute());
+  ASSERT_EQ(r.merge.aggregations.size(), 3u);
+  // Both DISTINCT aggregates share one derived argument column.
+  EXPECT_EQ(r.merge.aggregations[0].distinct_index, 3);
+  EXPECT_EQ(r.merge.aggregations[1].distinct_index, 3);
+  EXPECT_EQ(r.merge.aggregations[2].distinct_index, -1);
+  EXPECT_EQ(r.merge.visible_columns, 3u);
+  EXPECT_NE(r.units[0].sql.find("DISTINCT_DERIVED_0"), std::string::npos);
+  EXPECT_EQ(r.units[0].sql.find("DISTINCT_DERIVED_1"), std::string::npos);
+  EXPECT_NE(r.units[0].sql.find("GROUP BY age"), std::string::npos);
+  EXPECT_EQ(r.units[0].sql.find("LIMIT"), std::string::npos);
+}
+
+TEST(RewriteTest, DistinctAvgDerivesNoCountAndSum) {
+  auto r = MustRewrite("SELECT AVG(DISTINCT score) FROM t_user",
+                       TwoUnitRoute());
+  ASSERT_EQ(r.merge.aggregations.size(), 1u);
+  EXPECT_EQ(r.merge.aggregations[0].count_index, -1);
+  EXPECT_EQ(r.merge.aggregations[0].distinct_index, 1);
+  EXPECT_EQ(r.units[0].sql.find("AVG_DERIVED"), std::string::npos);
+}
+
+TEST(RewriteTest, UnfoldableDistinctAggregateRefused) {
+  RewriteEngine engine;
+  for (const char* q :
+       {"SELECT name, COUNT(DISTINCT age) FROM t_user GROUP BY name "
+        "HAVING COUNT(DISTINCT age) > 1",
+        "SELECT name, COUNT(DISTINCT age) FROM t_user GROUP BY name "
+        "ORDER BY SUM(DISTINCT score)"}) {
+    auto stmt = sql::ParseSQL(q);
+    ASSERT_TRUE(stmt.ok()) << q;
+    auto r = engine.Rewrite(**stmt, TwoUnitRoute(), {});
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported) << q;
+  }
+  // One unit answers any shape exactly.
+  auto stmt = sql::ParseSQL(
+      "SELECT name, COUNT(DISTINCT age) FROM t_user GROUP BY name "
+      "HAVING COUNT(DISTINCT age) > 1");
+  ASSERT_TRUE(stmt.ok());
+  EXPECT_TRUE(engine.Rewrite(**stmt, OneUnitRoute(), {}).ok());
+}
+
 RouteResult InsertSplitRoute() {
   RouteResult route;
   route.type = RouteType::kStandard;

@@ -326,6 +326,78 @@ TEST_P(ShardingOracleTest, ShardedEqualsUnsharded) {
   for (const char* q : queries) run_both(q);
 }
 
+// Aggregate shapes whose per-shard partials do not simply add up: a top-N
+// over memory-merged groups and DISTINCT aggregates, each checked row by
+// row (in order) against one unsharded node.
+TEST(ShardedAggregateTest, MatchesUnshardedNode) {
+  const char* ddl =
+      "CREATE TABLE t_user (uid BIGINT PRIMARY KEY, name VARCHAR(64), "
+      "age INT, score DOUBLE)";
+  engine::StorageNode oracle("oracle");
+  auto oracle_session = oracle.OpenSession();
+  ASSERT_TRUE(oracle_session->Execute(ddl).ok());
+  TestCluster cluster(2);
+  ASSERT_TRUE(cluster.InstallModRule(4, /*bind=*/false).ok());
+  ASSERT_TRUE(cluster.runtime()->Execute(ddl).ok());
+
+  // 10 ages over 4 shards, unevenly weighted, so a shard's local top groups
+  // by SUM(score) differ from the global ones; 3 names span every shard.
+  Rng rng(77);
+  for (int uid = 0; uid < 120; ++uid) {
+    std::string insert = StrFormat(
+        "INSERT INTO t_user (uid, name, age, score) VALUES "
+        "(%d, 'n%d', %d, %d.5)",
+        uid, uid % 3, (uid * 7) % 10, static_cast<int>(rng.Uniform(0, 999)));
+    ASSERT_TRUE(oracle_session->Execute(insert).ok());
+    ASSERT_TRUE(cluster.runtime()->Execute(insert).ok());
+  }
+
+  const char* queries[] = {
+      "SELECT age, SUM(score) FROM t_user GROUP BY age "
+      "ORDER BY SUM(score) DESC LIMIT 3",
+      "SELECT age, SUM(score) s FROM t_user GROUP BY age "
+      "ORDER BY s DESC LIMIT 2, 3",
+      "SELECT COUNT(DISTINCT age) FROM t_user",
+      "SELECT COUNT(DISTINCT age), COUNT(*), SUM(DISTINCT age), "
+      "AVG(DISTINCT age), AVG(score), MAX(age) FROM t_user",
+      "SELECT COUNT(DISTINCT age) FROM t_user WHERE uid BETWEEN 10 AND 13",
+      "SELECT COUNT(DISTINCT age), SUM(DISTINCT age) FROM t_user "
+      "WHERE uid > 1000",
+      "SELECT name, COUNT(DISTINCT age), SUM(score) FROM t_user "
+      "GROUP BY name ORDER BY name",
+      "SELECT name, COUNT(DISTINCT age) c FROM t_user WHERE age < 6 "
+      "GROUP BY name ORDER BY c DESC, name LIMIT 2",
+      "SELECT age, COUNT(DISTINCT name), AVG(DISTINCT score) FROM t_user "
+      "GROUP BY age ORDER BY age",
+  };
+  for (const char* q : queries) {
+    auto sharded = cluster.runtime()->Execute(q);
+    auto expected = oracle_session->Execute(q);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString() << ": " << q;
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString() << ": " << q;
+    auto got = engine::DrainResultSet(sharded->result_set.get());
+    auto want = engine::DrainResultSet(expected->result_set.get());
+    ASSERT_EQ(got.size(), want.size()) << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size()) << q;
+      for (size_t j = 0; j < got[i].size(); ++j) {
+        if (want[i][j].is_double()) {
+          EXPECT_NEAR(got[i][j].ToDouble(), want[i][j].ToDouble(), 1e-9)
+              << q << " row " << i << " col " << j;
+        } else {
+          EXPECT_EQ(got[i][j], want[i][j]) << q << " row " << i << " col " << j;
+        }
+      }
+    }
+  }
+
+  // A shape the merger cannot fold is refused, not answered wrongly.
+  auto refused = cluster.runtime()->Execute(
+      "SELECT name, COUNT(DISTINCT age) FROM t_user GROUP BY name "
+      "HAVING COUNT(DISTINCT age) > 1");
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnsupported);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configurations, ShardingOracleTest,
     ::testing::Values(OracleCase{4, 2, "MOD"}, OracleCase{10, 2, "MOD"},

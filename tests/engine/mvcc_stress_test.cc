@@ -1,10 +1,10 @@
 // MVCC read/write stress (DESIGN.md §15), written for the TSan and lockdep
 // trees (check.sh re-runs `ctest -R MvccStress` in both): snapshot readers
 // scan through the executor while writers commit, roll back and churn rows,
-// and a GC thread prunes version chains mid-scan. Every reader asserts its
-// scan was one consistent cut — a torn snapshot shows up as a failed
-// invariant here, and as a data race / lock-order report in the sanitizer
-// trees.
+// and commit-time GC (plus, in two tests, a GcVersions thread) prunes
+// version chains mid-scan. Every reader asserts its scan was one consistent
+// cut — a torn snapshot shows up as a failed invariant here, and as a data
+// race / lock-order / use-after-free report in the sanitizer trees.
 
 #include <atomic>
 #include <cstdint>
@@ -17,6 +17,7 @@
 
 #include "engine/pipeline.h"
 #include "engine/storage_node.h"
+#include "storage/mvcc.h"
 #include "storage/table.h"
 
 namespace sphere {
@@ -221,6 +222,137 @@ TEST(MvccStressTest, InsertDeleteChurnKeepsCountStable) {
   EXPECT_EQ(table->row_count(), static_cast<size_t>(kBaseRows));
   table->GcVersions();
   EXPECT_EQ(table->version_count(), static_cast<size_t>(kBaseRows));
+}
+
+// No GcVersions anywhere: commit-time GC alone reclaims versions while
+// transactional readers hold pinned snapshots across several statements.
+// Each reader transaction must see the same totals in every statement
+// (repeatable read over chains pruned around its pin), and once writers
+// quiesce the process-wide live version count must settle near one per row.
+TEST(MvccStressTest, CommitTimeGcUnderPinnedReadersSettles) {
+  engine::ScopedConcurrencyControl cc(engine::ConcurrencyControl::kMvcc);
+  constexpr int kAccounts = 64;
+  constexpr int64_t kInitialBalance = 100;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kWriterTxns = 200;  ///< at least; more until readers finish
+  constexpr int kReaderTxns = 40;
+  constexpr int64_t kRefresh = storage::EpochManager::kHorizonRefreshCommits;
+  const int64_t live_before = storage::VersionPool::Instance().live();
+
+  engine::StorageNode node("ds_mvcc_commit_gc");
+  {
+    auto admin = node.OpenSession();
+    ASSERT_TRUE(
+        admin->Execute("CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
+            .ok());
+    for (int i = 0; i < kAccounts; ++i) {
+      ASSERT_TRUE(admin
+                      ->Execute("INSERT INTO acct VALUES (?, ?)",
+                                {Value(i), Value(kInitialBalance)})
+                      .ok());
+    }
+  }
+
+  std::atomic<int> readers_done{0};
+  std::atomic<int64_t> bad_reads{0};
+  std::atomic<int64_t> reader_failures{0};
+  std::atomic<int64_t> reader_txns{0};
+  std::vector<std::thread> threads;
+
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&node, &readers_done, w] {
+      // Disjoint account partitions: no write-write conflict detection.
+      constexpr int kSpan = kAccounts / kWriters;
+      const int base = w * kSpan;
+      auto session = node.OpenSession();
+      // Writers outlast the readers, so every reader transaction overlaps
+      // commits however the threads are scheduled.
+      for (int i = 0; i < kWriterTxns ||
+                      readers_done.load(std::memory_order_acquire) < kReaders;
+           ++i) {
+        int from = base + (i * 5) % kSpan;
+        int to = base + ((i * 5) % kSpan + 1 + i % (kSpan - 1)) % kSpan;
+        int64_t amount = 1 + i % 7;
+        bool ok = session->Execute("BEGIN").ok();
+        ok = session
+                 ->Execute("UPDATE acct SET bal = bal - ? WHERE id = ?",
+                           {Value(amount), Value(from)})
+                 .ok() &&
+             ok;
+        ok = session
+                 ->Execute("UPDATE acct SET bal = bal + ? WHERE id = ?",
+                           {Value(amount), Value(to)})
+                 .ok() &&
+             ok;
+        const char* end = (!ok || i % 5 == 0) ? "ROLLBACK" : "COMMIT";
+        if (session->in_transaction()) session->Execute(end).ok();
+      }
+    });
+  }
+
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      auto session = node.OpenSession();
+      auto total = [&](int64_t* sum) {
+        auto res = session->Execute("SELECT COUNT(*), SUM(bal) FROM acct");
+        Row row;
+        if (!res.ok() || !res->result_set->Next(&row) || row.size() != 2) {
+          return false;
+        }
+        *sum = row[0].AsInt() == kAccounts ? row[1].AsInt() : -1;
+        return true;
+      };
+      for (int t = 0; t < kReaderTxns; ++t) {
+        if (!session->Execute("BEGIN").ok()) {
+          reader_failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        // Three reads of one pinned snapshot, with writers committing (and
+        // pruning) in between; a pruned-away version reads wrong or, under
+        // ASan, as a use-after-free.
+        for (int k = 0; k < 3; ++k) {
+          int64_t sum = 0;
+          if (!total(&sum)) {
+            reader_failures.fetch_add(1, std::memory_order_relaxed);
+          } else if (sum != kAccounts * kInitialBalance) {
+            bad_reads.fetch_add(1, std::memory_order_relaxed);
+          }
+          std::this_thread::yield();
+        }
+        session->Execute("COMMIT").ok();
+        reader_txns.fetch_add(1, std::memory_order_relaxed);
+      }
+      readers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(reader_failures.load(), 0);
+  EXPECT_EQ(reader_txns.load(), kReaders * kReaderTxns);
+
+  // Quiesced: a couple of horizon refreshes' worth of auto-commit writes
+  // lets commit-time GC catch up with everything the readers pinned.
+  auto settle = node.OpenSession();
+  for (int64_t i = 0; i < 2 * kRefresh; ++i) {
+    ASSERT_TRUE(settle
+                    ->Execute("UPDATE acct SET bal = bal WHERE id = ?",
+                              {Value(i % kAccounts)})
+                    .ok());
+  }
+  storage::Table* table = node.database()->FindTable("acct");
+  ASSERT_NE(table, nullptr);
+  EXPECT_LE(table->version_count(), static_cast<size_t>(kAccounts + kRefresh));
+  // storage.mvcc.versions publishes VersionPool::live().
+  EXPECT_LE(storage::VersionPool::Instance().live() - live_before,
+            kAccounts + kRefresh);
+  auto res = settle->Execute("SELECT COUNT(*), SUM(bal) FROM acct");
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  Row row;
+  ASSERT_TRUE(res->result_set->Next(&row));
+  EXPECT_EQ(row[0].AsInt(), kAccounts);
+  EXPECT_EQ(row[1].AsInt(), kAccounts * kInitialBalance);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Version-chain lifecycle tests for the MVCC storage layer (DESIGN.md §15):
-// chain growth under updates, GC pruning bounded by pinned snapshots,
-// tombstone erasure, the truncation graveyard, and the atomic live-row count
-// across pending/commit/abort transitions.
+// chain growth under updates, GC pruning bounded by pinned snapshots (the
+// full GcVersions sweep and commit-time GC), tombstone erasure, the
+// truncation graveyard, and the atomic live-row count across
+// pending/commit/abort transitions.
 
 #include "storage/mvcc.h"
 
@@ -36,6 +37,21 @@ class MvccGcTest : public ::testing::Test {
       WriterLock lk(table_->latch());
       EXPECT_TRUE(
           table_->Update(Value(pk), {Value(pk), Value(v)}, writer).ok());
+    }
+    uint64_t epoch = em_->BeginCommit();
+    {
+      WriterLock lk(table_->latch());
+      table_->CommitWrite(Value(pk), writer, epoch);
+    }
+    em_->EndCommit(epoch);
+    return epoch;
+  }
+
+  uint64_t CommitInsert(int64_t pk, int64_t v) {
+    int64_t writer = em_->NextWriterId();
+    {
+      WriterLock lk(table_->latch());
+      EXPECT_TRUE(table_->Insert({Value(pk), Value(v)}, nullptr, writer).ok());
     }
     uint64_t epoch = em_->BeginCommit();
     {
@@ -195,6 +211,122 @@ TEST_F(MvccGcTest, TruncateWithNoPinsFreesImmediately) {
   }
   EXPECT_EQ(table_->version_count(), 0u);
   EXPECT_EQ(table_->row_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Commit-time GC: no GcVersions call anywhere below. The cached horizon is
+// refreshed once per kHorizonRefreshCommits commits, so each test drives at
+// least that many commits before asserting a bound.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kRefresh = EpochManager::kHorizonRefreshCommits;
+
+TEST_F(MvccGcTest, CommitTimeGcKeepsAboutOneVersionPerRow) {
+  constexpr int64_t kRows = 200;
+  constexpr int64_t kRounds = 6;
+  for (int64_t pk = 2; pk <= kRows; ++pk) CommitInsert(pk, 0);
+  for (int64_t round = 1; round <= kRounds; ++round) {
+    for (int64_t pk = 1; pk <= kRows; ++pk) CommitUpdate(pk, round);
+  }
+  // Only the commits since the latest horizon refresh may still hold the
+  // version they superseded; without commit-time GC this would be
+  // kRows * (kRounds + 1).
+  EXPECT_LE(table_->version_count(), static_cast<size_t>(kRows + kRefresh));
+  for (int64_t pk = 1; pk <= kRows; ++pk) EXPECT_EQ(LatestValue(pk), kRounds);
+}
+
+TEST_F(MvccGcTest, CommitTimeGcPrunesAroundPinnedSnapshot) {
+  CommitUpdate(1, 10);
+  Snapshot snap(em_);
+  const Row* borrowed = nullptr;
+  {
+    ReaderLock lk(table_->latch());
+    borrowed = table_->FindVisible(Value(1), snap.view());
+    ASSERT_NE(borrowed, nullptr);
+  }
+  constexpr int64_t kUpdates = 3 * kRefresh;
+  for (int64_t v = 1; v <= kUpdates; ++v) CommitUpdate(1, 100 + v);
+
+  // The insert image predates the pin and is gone; the pinned version and
+  // everything committed after it stay. A use-after-free on `borrowed` is
+  // what the ASan tree would report.
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(1 + kUpdates));
+  EXPECT_EQ((*borrowed)[1].AsInt(), 10);
+  {
+    ReaderLock lk(table_->latch());
+    const Row* row = table_->FindVisible(Value(1), snap.view());
+    ASSERT_EQ(row, borrowed);
+  }
+  EXPECT_EQ(LatestValue(1), 100 + kUpdates);
+
+  // Once the pin is gone, later commits (fresh inserts elsewhere, which
+  // supersede nothing themselves) collapse row 1's chain to its head.
+  snap.Release();
+  for (int64_t pk = 2; pk <= kRefresh + 2; ++pk) CommitInsert(pk, pk);
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(1 + kRefresh + 1));
+  EXPECT_EQ(LatestValue(1), 100 + kUpdates);
+}
+
+TEST_F(MvccGcTest, CommitTimeGcErasesDeadTombstoneKeys) {
+  CommitUpdate(1, 7);
+  CommitDelete(1);
+  for (int64_t pk = 2; pk <= kRefresh + 2; ++pk) CommitInsert(pk, pk);
+  // Row 1's tombstone chain is gone from the tree; only the inserts remain.
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(kRefresh + 1));
+  EXPECT_EQ(table_->row_count(), static_cast<size_t>(kRefresh + 1));
+  ReaderLock lk(table_->latch());
+  EXPECT_EQ(table_->Find(Value(1)), nullptr);
+  EXPECT_EQ(table_->FindVisible(Value(1), ReadView::Latest(0)), nullptr);
+}
+
+TEST_F(MvccGcTest, CommitTimeGcDrainsTruncateGraveyard) {
+  CommitUpdate(1, 5);
+  Snapshot snap(em_);
+  const Row* borrowed = nullptr;
+  {
+    ReaderLock lk(table_->latch());
+    borrowed = table_->FindVisible(Value(1), snap.view());
+    ASSERT_NE(borrowed, nullptr);
+  }
+  {
+    WriterLock lk(table_->latch());
+    table_->Truncate();
+  }
+  // Commits while the pre-truncation pin lives must leave the graveyard.
+  for (int64_t pk = 2; pk <= kRefresh + 2; ++pk) CommitInsert(pk, pk);
+  EXPECT_GE(table_->version_count(), static_cast<size_t>(kRefresh + 1 + 2));
+  EXPECT_EQ((*borrowed)[1].AsInt(), 5);
+
+  // After the release, the next horizon refresh frees it.
+  snap.Release();
+  for (int64_t pk = 100; pk <= 100 + kRefresh; ++pk) CommitInsert(pk, pk);
+  EXPECT_EQ(table_->version_count(),
+            static_cast<size_t>(kRefresh + 1 + kRefresh + 1));
+  EXPECT_EQ(table_->row_count(), table_->version_count());
+}
+
+TEST_F(MvccGcTest, CommitTimeGcKeepsBuriedPendingVersion) {
+  // Writer A installs a pending update; writer B then updates and commits
+  // the same row (no write-write conflict detection), burying A's version
+  // below B's commit.
+  int64_t a = em_->NextWriterId();
+  {
+    WriterLock lk(table_->latch());
+    ASSERT_TRUE(table_->Update(Value(1), {Value(1), Value(111)}, a).ok());
+  }
+  CommitUpdate(1, 222);
+  for (int64_t pk = 2; pk <= 2 * kRefresh + 2; ++pk) CommitInsert(pk, pk);
+  // B's version is now the keeper. The committed image below it is freed;
+  // A's pending version stays linked for its owner.
+  EXPECT_EQ(LatestValue(1), 222);
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(2 + 2 * kRefresh + 1));
+  uint64_t epoch = em_->BeginCommit();
+  {
+    WriterLock lk(table_->latch());
+    table_->CommitWrite(Value(1), a, epoch);
+  }
+  em_->EndCommit(epoch);
+  EXPECT_EQ(LatestValue(1), 111);
 }
 
 TEST_F(MvccGcTest, SnapshotAgeTracksLaggingPin) {

@@ -5,6 +5,8 @@
 #   1. tools/lint.py + tools/analyze.py       (project lint + lock analyzer)
 #   2. plain build + ctest                    (tier-1)
 #   3. bench_micro smoke                      (one short pass, JSON discarded)
+#      + perfbench self-check and a 2 s run per workload that must report
+#        "correct": true (benchmark built into build-check/perfbench)
 #   4. clang -Wthread-safety -Werror build    (skipped if clang++ missing)
 #   5. clang-tidy over src/                   (skipped if clang-tidy missing)
 #   6. ctest under SPHERE_DEADLOCK=ON         (runtime lockdep; any rank or
@@ -107,6 +109,25 @@ if [ -x "$ROOT/build-check/plain/bench/bench_fig_rwmix" ]; then
     > "$ROOT/build-check/rwmix-smoke.log" 2>&1 \
     || fail "bench_fig_rwmix smoke (see build-check/rwmix-smoke.log)"
 fi
+
+# End-to-end benchmark gate: the self-check plants one wrong physical row per
+# workload and must see every workload fail; then one short run per workload
+# must check every answer and pass its end-of-run audit. Figures from these
+# runs are not compared to anything: this stage proves correctness only.
+note "3/7 perfbench self-check + correctness runs"
+(cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/build-check" \
+    python3 perfbench/run.py --self-check) \
+    > "$ROOT/build-check/perfbench-self-check.log" 2>&1 \
+  || fail "perfbench --self-check (see build-check/perfbench-self-check.log)"
+for workload in point_rw scatter_agg proxy_xa_transfer; do
+  out="$ROOT/build-check/perfbench-$workload"
+  (cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/build-check" \
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace 0) > "$out.out" 2> "$out.log" \
+    && tail -n 1 "$out.out" | python3 -c \
+      'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' \
+    || fail "perfbench $workload: no correct run (see $out.out, $out.log)"
+done
 
 if command -v clang++ >/dev/null 2>&1; then
   note "4/7 clang -Wthread-safety -Werror"
