@@ -15,7 +15,6 @@
 
 #include "bench/alloc_hook.h"
 #include "common/arena.h"
-#include "common/thread_pool.h"
 #include "core/merge.h"
 #include "engine/pipeline.h"
 #include "engine/row_batch.h"
@@ -236,12 +235,10 @@ void BM_StatementCacheHit(benchmark::State& state) {
 BENCHMARK(BM_StatementCacheHit);
 
 /// Scatter SELECT across all 4 data sources: executor dispatch on the shared
-/// scheduler pool (Arg(1), the default) vs the legacy spawn-per-statement
-/// baseline (Arg(0)).
+/// scheduler pool. The spawn-per-statement /0 arm is retired (EXPERIMENTS.md,
+/// "Retired ablations"); Arg(1) keeps the committed name.
 void BM_ExecutorDispatch(benchmark::State& state) {
   MiniCluster cluster(/*cache_capacity=*/2048);
-  bool pooled = state.range(0) != 0;
-  cluster.runtime->set_executor_pool(pooled ? SharedThreadPool() : nullptr);
   const char* scatter = "SELECT COUNT(*) FROM sbtest";
   auto warm = cluster.runtime->Execute(scatter);
   if (!warm.ok()) std::abort();
@@ -250,10 +247,9 @@ void BM_ExecutorDispatch(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pooled ? "shared scheduler pool (no thread creation)"
-                        : "baseline: spawn+join threads per statement");
+  state.SetLabel("shared scheduler pool (no thread creation)");
 }
-BENCHMARK(BM_ExecutorDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecutorDispatch)->Arg(1);
 
 // ---------- Streaming scan-to-merge pipeline ----------
 
@@ -412,19 +408,18 @@ void BM_PaginatedSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_PaginatedSelect)->Arg(0)->Arg(1);
 
-// ---------- Write-path fast lane (DESIGN.md §10) ----------
+// ---------- Write path (DESIGN.md §10) ----------
+//
+// The text-lane, inlining and full-scan /0 arms below are retired
+// (EXPERIMENTS.md, "Retired ablations"); each bench keeps Arg(1) so its
+// committed name and gate survive.
 
-/// Parameterized single-row INSERT through the full sharding pipeline.
-/// Arg(0): legacy remote-text lane — the split inlines literals, so every
-/// iteration renders a unique physical text and the node pays a fresh parse.
-/// Arg(1): structured pass-through — the rewritten AST and the per-unit
-/// parameter slice ship in-process; no text is rendered, the node never
-/// parses. Inserted rows are swept out of band every 1024 iterations.
+/// Parameterized single-row INSERT through the full sharding pipeline: the
+/// rewritten AST and the per-unit parameter slice ship in-process; no text
+/// is rendered, the node never parses. Inserted rows are swept out of band
+/// every 1024 iterations.
 void BM_DmlPassThroughVsReparse(benchmark::State& state) {
   MiniCluster cluster(/*cache_capacity=*/2048);
-  bool structured = state.range(0) != 0;
-  engine::ScopedDmlPassThrough passthrough(structured);
-  engine::ScopedDmlParamBinding binding(structured);
   int64_t id = 1000;
   for (auto _ : state) {
     auto r = cluster.runtime->Execute(
@@ -442,24 +437,17 @@ void BM_DmlPassThroughVsReparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   int64_t misses = 0;
   for (const auto& n : cluster.nodes) misses += n->parse_cache_misses();
-  state.SetLabel(structured
-                     ? "structured: AST pass-through, node parses=" +
-                           std::to_string(misses)
-                     : "legacy: inline + ToSQL + node parses=" +
-                           std::to_string(misses));
+  state.SetLabel("structured: AST pass-through, node parses=" +
+                 std::to_string(misses));
 }
-BENCHMARK(BM_DmlPassThroughVsReparse)->Arg(0)->Arg(1);
+BENCHMARK(BM_DmlPassThroughVsReparse)->Arg(1);
 
-/// Point UPDATE over 100k rows, WHERE on column k. Arg(1): k carries a
-/// secondary index, so the point-DML path resolves the row set in O(log n)
-/// under one writer section. Arg(0): no index — the same statement degrades
-/// to a full table scan, the cost every point UPDATE paid before indexes
-/// (and what WHERE on any unindexed column still pays).
+/// Point UPDATE over 100k rows, WHERE on column k. k carries a secondary
+/// index, so the cursor resolves the row set in O(log n) under one writer
+/// section.
 void BM_PointUpdateIndexVsScan(benchmark::State& state) {
   BigNode big(100000);
-  bool indexed = state.range(0) != 0;
-  if (indexed &&
-      !big.session->Execute("CREATE INDEX idx_k ON big (k)", {}).ok()) {
+  if (!big.session->Execute("CREATE INDEX idx_k ON big (k)", {}).ok()) {
     std::abort();
   }
   uint32_t i = 0;
@@ -472,21 +460,14 @@ void BM_PointUpdateIndexVsScan(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(indexed ? "index lookup, O(log n) row resolution"
-                         : "baseline: full scan of 100k rows per UPDATE");
+  state.SetLabel("index lookup, O(log n) row resolution");
 }
-BENCHMARK(BM_PointUpdateIndexVsScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_PointUpdateIndexVsScan)->Arg(1);
 
-/// Prepared INSERT (+ cleanup DELETE) on the text lanes. Arg(1): cached-text
-/// — parameter binding keeps `?` in the emitted text, so every node sees the
-/// same string and hits its statement cache after the first parse. Arg(0):
-/// legacy inlining — each iteration's values make a unique text, a guaranteed
-/// parse-cache miss per statement.
+/// Prepared INSERT (+ cleanup DELETE) by primary key: both statements ship
+/// as structured units with bound parameters, so the nodes never parse.
 void BM_PreparedInsertCacheHit(benchmark::State& state) {
   MiniCluster cluster(/*cache_capacity=*/2048);
-  bool cached_text = state.range(0) != 0;
-  engine::ScopedDmlPassThrough no_passthrough(false);
-  engine::ScopedDmlParamBinding binding(cached_text);
   int64_t id = 1000;
   for (auto _ : state) {
     auto ins = cluster.runtime->Execute(
@@ -504,12 +485,10 @@ void BM_PreparedInsertCacheHit(benchmark::State& state) {
     hits += n->parse_cache_hits();
     misses += n->parse_cache_misses();
   }
-  state.SetLabel((cached_text ? std::string("cached text: ")
-                              : std::string("inlined text: ")) +
-                 "node cache hits=" + std::to_string(hits) +
+  state.SetLabel("structured: node cache hits=" + std::to_string(hits) +
                  " misses=" + std::to_string(misses));
 }
-BENCHMARK(BM_PreparedInsertCacheHit)->Arg(0)->Arg(1);
+BENCHMARK(BM_PreparedInsertCacheHit)->Arg(1);
 
 // ---------- Memory discipline (DESIGN.md §12) ----------
 
@@ -529,14 +508,10 @@ class AllocMeter {
   uint64_t start_ = 0;
 };
 
-/// Steady-state point SELECT on the cache-hit path. Arg(1): arena statements
-/// + pooled batches (the default); Arg(0): both knobs off — the malloc
-/// baseline. allocs_per_query is the acceptance metric: near zero with the
-/// knobs on.
+/// Steady-state point SELECT on the cache-hit path with arena statements and
+/// pooled rows. allocs_per_query is the acceptance metric: near zero. The
+/// malloc-baseline /0 arm is retired (EXPERIMENTS.md, "Retired ablations").
 void BM_PointSelectAllocs(benchmark::State& state) {
-  bool disciplined = state.range(0) != 0;
-  engine::ScopedArenaStatements arena(disciplined);
-  engine::ScopedPooledBatches pooled(disciplined);
   MiniCluster cluster(/*cache_capacity=*/2048);
   for (int i = 0; i < 64; ++i) {  // warm the caches, arena chunks and pools
     if (!cluster.runtime->Execute(kPointSQL).ok()) std::abort();
@@ -556,18 +531,15 @@ void BM_PointSelectAllocs(benchmark::State& state) {
   }
   meter.Stop(state);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(disciplined ? "arena + pooled rows" : "malloc baseline");
+  state.SetLabel("arena + pooled rows");
 }
-BENCHMARK(BM_PointSelectAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_PointSelectAllocs)->Arg(1);
 
 /// Fan-out SELECT drained through the merge stack with the drained batch
 /// recycled after consumption — the steady-state drain loop an adaptor runs.
-/// Per-row string copies dominate the baseline; pooled rows reuse their
-/// string capacity in place.
+/// Pooled rows reuse their string capacity in place. The malloc-baseline /0
+/// arm is retired (EXPERIMENTS.md, "Retired ablations").
 void BM_FanoutDrainAllocs(benchmark::State& state) {
-  bool disciplined = state.range(0) != 0;
-  engine::ScopedArenaStatements arena(disciplined);
-  engine::ScopedPooledBatches pooled(disciplined);
   MiniCluster cluster(/*cache_capacity=*/2048);
   LoadSbtest(&cluster, 10000);
   int64_t drained = 0;
@@ -578,7 +550,7 @@ void BM_FanoutDrainAllocs(benchmark::State& state) {
     drained += static_cast<int64_t>(rows.size());
     benchmark::DoNotOptimize(rows);
     // Close the recycle loop the way an adaptor does: consumed rows return
-    // to the pool (no-op when pooling is off).
+    // to the pool.
     engine::RecycleRows(std::move(rows));
   };
   for (int i = 0; i < 4; ++i) run_once();  // warm pools to steady state
@@ -587,9 +559,9 @@ void BM_FanoutDrainAllocs(benchmark::State& state) {
   for (auto _ : state) run_once();
   meter.Stop(state);
   state.SetItemsProcessed(drained);
-  state.SetLabel(disciplined ? "arena + pooled rows" : "malloc baseline");
+  state.SetLabel("arena + pooled rows");
 }
-BENCHMARK(BM_FanoutDrainAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_FanoutDrainAllocs)->Arg(1);
 
 /// Observability overhead on the hottest committed path (cache-hit point
 /// SELECT): Arg(0) runs with the observability knob off (statement scopes and

@@ -79,7 +79,7 @@ class ShardingResultSet {
         buffer_(engine::RowStore::Instance().AcquireShell()) {}
   ~ShardingResultSet() {
     // The batch buffer (and the consumed rows swapped back into it) returns
-    // to the recycler; no-op when pooling is off.
+    // to the recycler.
     engine::RowStore::Instance().Release(std::move(buffer_));
   }
 
@@ -234,7 +234,7 @@ class ShardingPreparedStatement {
   /// batch entry. Re-bind and call again for the next entry.
   void AddBatch() { batch_.push_back(params_); }
   size_t batch_size() const { return batch_.size(); }
-  /// Replays every entry through the write-path fast lane (DESIGN.md §10) —
+  /// Replays every entry through the structured write path (DESIGN.md §10) —
   /// one shared AST, per-entry parameter vectors, zero re-parses — and
   /// returns per-entry affected-row counts. Clears the batch, even on error
   /// (JDBC clearBatch-on-failure semantics).

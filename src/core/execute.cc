@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <thread>
 
 #include "common/arena.h"
 #include "common/strings.h"
@@ -64,10 +63,10 @@ void RunSerial(net::RemoteConnection* conn, const std::vector<SQLUnit>& units,
         continue;
       }
     }
-    // Structured pass-through units (empty text + attached AST) skip the
-    // protocol encode and the node-side parse; everything else ships text.
+    // Structured DML units skip the protocol encode and the node-side
+    // parse; everything else ships text.
     const SQLUnit& unit = units[idx];
-    if (unit.stmt != nullptr && unit.sql.empty()) {
+    if (unit.stmt != nullptr) {
       results[idx] = conn->ExecuteStructured(*unit.stmt, unit.params);
     } else {
       results[idx] = conn->Execute(unit.sql, unit.params);
@@ -129,7 +128,7 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
       }
     }
     if (executed) {
-      if (unit.stmt != nullptr && unit.sql.empty()) {
+      if (unit.stmt != nullptr) {
         r = conn->ExecuteStructured(*unit.stmt, unit.params);
       } else {
         r = conn->Execute(unit.sql, unit.params);
@@ -239,7 +238,7 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
   if (tasks.size() == 1) {
     RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
               tr, parent);
-  } else if (pool_ != nullptr) {
+  } else {
     // The data sources execute their SQLs in parallel (paper Fig. 8), on the
     // persistent scheduler: every slice but the first goes to the pool, the
     // caller drains its own slice inline (so progress is guaranteed even on a
@@ -257,22 +256,6 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
     RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
               tr, parent);
     latch.Wait();
-  } else {
-    // Benchmark baseline (set_thread_pool(nullptr)): the pre-scheduler
-    // spawn-per-statement dispatch.
-    // analyze-exempt(raw-thread): this IS the measured ablation — the
-    // spawn-per-statement baseline the shared pool is compared against
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size() - 1);
-    for (size_t i = 1; i < tasks.size(); ++i) {
-      threads.emplace_back([&, i] {
-        RunSerial(tasks[i].conn, units, tasks[i].indices, observer,
-                  results.data(), tr, parent);
-      });
-    }
-    RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
-              tr, parent);
-    for (auto& t : threads) t.join();
   }
 
   ExecutionOutcome outcome;

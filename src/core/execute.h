@@ -88,20 +88,18 @@ struct ExecutionOutcome {
 /// SharedThreadPool by default): the caller submits every slice but its own,
 /// executes its own slice inline, and joins on a latch — so the steady-state
 /// path constructs zero threads per statement. The pool is injectable for
-/// tests and sizing experiments; setting it to nullptr falls back to
-/// spawn-per-statement, kept only as the benchmark baseline.
+/// tests and sizing experiments; a null pool means SharedThreadPool().
 class ExecutionEngine {
  public:
   ExecutionEngine(DataSourceRegistry* registry, int max_connections_per_query,
                   ThreadPool* pool = SharedThreadPool())
-      : registry_(registry), max_con_(max_connections_per_query), pool_(pool) {}
+      : registry_(registry),
+        max_con_(max_connections_per_query),
+        pool_(pool != nullptr ? pool : SharedThreadPool()) {}
 
   void set_max_connections_per_query(int n) { max_con_ = n < 1 ? 1 : n; }
   int max_connections_per_query() const { return max_con_; }
 
-  /// Replaces the scheduler pool. nullptr selects the legacy thread-spawn
-  /// dispatch (benchmark baseline only — it creates threads per statement).
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
   /// Executes every unit; `txn_source` may be nullptr (auto-commit) and

@@ -274,7 +274,7 @@ class BufferedCursor {
         buffer_(engine::RowStore::Instance().AcquireShell()) {}
   ~BufferedCursor() {
     // The merge moved most rows out (husks), but the spine and any tail rows
-    // return to the recycler; no-op when pooling is off.
+    // return to the recycler.
     engine::RowStore::Instance().Release(std::move(buffer_));
   }
 

@@ -13,9 +13,8 @@ namespace sphere::core {
 ///
 /// When the rewriter splits a batched INSERT across shards, each unit keeps
 /// only a subset of the VALUES rows, so the original parameter indices become
-/// sparse. Instead of materializing the values into literals (which makes
-/// every execution a unique text — a guaranteed node parse-cache miss), the
-/// slicer renumbers the placeholders it encounters to 0..k-1 in order of
+/// sparse. Instead of materializing the values into literals, the slicer
+/// renumbers the placeholders it encounters to 0..k-1 in order of
 /// first appearance and collects the matching values into a per-unit
 /// parameter slice. A parameter referenced twice maps to one slot.
 class ParamSlicer {
@@ -86,8 +85,8 @@ class ParamSlicer {
   int SlotOf(int source_index) {
     if (source_index < 0 ||
         static_cast<size_t>(source_index) >= source_->size()) {
-      // Out-of-range placeholder: bind a NULL slot so execution matches the
-      // inlining rewrite's NULL materialization.
+      // Out-of-range placeholder: bind a NULL slot, the value an unbound
+      // placeholder reads as.
       params_.push_back(Value::Null());
       return static_cast<int>(params_.size()) - 1;
     }

@@ -4,7 +4,6 @@
 
 #include "common/strings.h"
 #include "core/param_slice.h"
-#include "engine/pipeline.h"
 #include "sql/condition.h"
 
 namespace sphere::core {
@@ -216,83 +215,14 @@ AggKind AggKindOf(const std::string& name) {
   return AggKind::kAvg;
 }
 
-/// Replaces every ? placeholder in the (owned) tree with its literal value,
-/// recursing into compound expressions — `? + 1` must inline too, not just a
-/// bare top-level placeholder.
-void InlineParamsInPlace(sql::ExprPtr* e, const std::vector<Value>& params) {
-  if (*e == nullptr) return;
-  switch ((*e)->kind()) {
-    case sql::ExprKind::kParam: {
-      int idx = static_cast<const sql::ParamExpr*>(e->get())->index;
-      Value v = (idx >= 0 && static_cast<size_t>(idx) < params.size())
-                    ? params[static_cast<size_t>(idx)]
-                    : Value::Null();
-      *e = std::make_unique<sql::LiteralExpr>(std::move(v));
-      break;
-    }
-    case sql::ExprKind::kUnary:
-      InlineParamsInPlace(&static_cast<sql::UnaryExpr*>(e->get())->child, params);
-      break;
-    case sql::ExprKind::kBinary: {
-      auto* b = static_cast<sql::BinaryExpr*>(e->get());
-      InlineParamsInPlace(&b->left, params);
-      InlineParamsInPlace(&b->right, params);
-      break;
-    }
-    case sql::ExprKind::kBetween: {
-      auto* b = static_cast<sql::BetweenExpr*>(e->get());
-      InlineParamsInPlace(&b->expr, params);
-      InlineParamsInPlace(&b->low, params);
-      InlineParamsInPlace(&b->high, params);
-      break;
-    }
-    case sql::ExprKind::kIn: {
-      auto* in = static_cast<sql::InExpr*>(e->get());
-      InlineParamsInPlace(&in->expr, params);
-      for (auto& i : in->list) InlineParamsInPlace(&i, params);
-      break;
-    }
-    case sql::ExprKind::kFuncCall:
-      for (auto& a : static_cast<sql::FuncCallExpr*>(e->get())->args) {
-        InlineParamsInPlace(&a, params);
-      }
-      break;
-    case sql::ExprKind::kCase: {
-      auto* c = static_cast<sql::CaseExpr*>(e->get());
-      for (auto& [when, then] : c->branches) {
-        InlineParamsInPlace(&when, params);
-        InlineParamsInPlace(&then, params);
-      }
-      InlineParamsInPlace(&c->else_expr, params);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-/// Materializes ? placeholders into literals (used for INSERT splitting where
-/// dropping rows would renumber the remaining placeholders).
-sql::ExprPtr InlineParams(const sql::Expr* e, const std::vector<Value>& params) {
-  if (e == nullptr) return nullptr;
-  sql::ExprPtr clone = e->Clone();
-  InlineParamsInPlace(&clone, params);
-  return clone;
-}
-
 }  // namespace
 
 Result<RewriteResult> RewriteEngine::RewriteInsert(
     const sql::InsertStatement& stmt, const RouteResult& route,
     const std::vector<Value>& params) const {
-  // Write-path fast lane (DESIGN.md §10). With parameter binding the split
-  // keeps `?` placeholders (renumbered per unit with a compact value slice),
-  // so repeated prepared INSERTs produce a stable per-shard text; with
-  // pass-through on top, ToSQL is skipped entirely and the unit ships its
-  // AST. The legacy inlining rewrite remains as the remote-text baseline.
-  bool binding = engine::PipelineConfig::dml_param_binding_enabled();
-  bool structured =
-      binding && engine::PipelineConfig::dml_passthrough_enabled();
+  // Write path (DESIGN.md §10): the split keeps `?` placeholders, renumbered
+  // per unit against a compact value slice, and each unit ships its AST
+  // instead of text, so no side serializes or re-parses SQL.
   RewriteResult out;
   out.merge.is_select = false;
   out.merge.pass_through = route.IsSingleUnit();
@@ -301,15 +231,13 @@ Result<RewriteResult> RewriteEngine::RewriteInsert(
     clone->table = stmt.table;
     clone->columns = stmt.columns;
     // Batched-insert split (paper §VI-C): only this unit's rows. Dropping
-    // rows renumbers the remaining placeholders, so either materialize them
-    // (legacy) or renumber them against a per-unit parameter slice.
+    // rows renumbers the remaining placeholders against the unit's slice.
     ParamSlicer slicer(params);
     for (size_t r : unit.insert_rows) {
       std::vector<sql::ExprPtr> row;
       row.reserve(stmt.rows[r].size());
       for (const auto& e : stmt.rows[r]) {
-        row.push_back(binding ? slicer.Remap(e.get())
-                              : InlineParams(e.get(), params));
+        row.push_back(slicer.Remap(e.get()));
       }
       clone->rows.push_back(std::move(row));
     }
@@ -317,7 +245,6 @@ Result<RewriteResult> RewriteEngine::RewriteInsert(
     ApplyTableMappings(clone.get(), unit);
     SQLUnit out_unit;
     out_unit.data_source = unit.data_source;
-    if (!structured) out_unit.sql = clone->ToSQL(dialect_);
     out_unit.params = slicer.TakeParams();
     out_unit.stmt = std::shared_ptr<const sql::Statement>(std::move(clone));
     out.units.push_back(std::move(out_unit));
@@ -547,12 +474,10 @@ Result<RewriteResult> RewriteEngine::Rewrite(
                            params);
     default: {
       // UPDATE/DELETE keep their original placeholders (no row splitting),
-      // so the full parameter vector rides along unchanged. DML units carry
-      // their rewritten AST; the structured lane additionally skips ToSQL.
+      // so the full parameter vector rides along unchanged, and their units
+      // carry the rewritten AST instead of text. Other statements ship text.
       bool is_dml = stmt.kind() == sql::StatementKind::kUpdate ||
                     stmt.kind() == sql::StatementKind::kDelete;
-      bool structured =
-          is_dml && engine::PipelineConfig::dml_passthrough_enabled();
       RewriteResult out;
       out.merge.is_select = false;
       out.merge.pass_through = route.IsSingleUnit();
@@ -561,11 +486,12 @@ Result<RewriteResult> RewriteEngine::Rewrite(
         ApplyTableMappings(clone_stmt.get(), unit);
         SQLUnit out_unit;
         out_unit.data_source = unit.data_source;
-        if (!structured) out_unit.sql = clone_stmt->ToSQL(dialect_);
         out_unit.params = params;
         if (is_dml) {
           out_unit.stmt =
               std::shared_ptr<const sql::Statement>(std::move(clone_stmt));
+        } else {
+          out_unit.sql = clone_stmt->ToSQL(dialect_);
         }
         out.units.push_back(std::move(out_unit));
       }

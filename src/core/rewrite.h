@@ -56,12 +56,12 @@ struct MergeContext {
 
 /// One executable SQL destined for one data source.
 ///
-/// Units come in two forms (DESIGN.md §10). Text form: `sql` holds the
-/// rewritten statement and `stmt` may additionally carry the rewritten AST
-/// (observers use it to skip a re-parse). Structured form (DML pass-through):
-/// `sql` is empty and `stmt` is the unit's whole identity — the execution
-/// engine hands it to the node session directly, and anything that needs a
-/// display text renders it on demand via RenderSQL.
+/// Units come in two forms (DESIGN.md §10). DML units (INSERT, UPDATE,
+/// DELETE) are structured: `sql` is empty and `stmt` is the unit's whole
+/// identity — the execution engine hands it to the node session directly,
+/// and anything that needs a display text renders it on demand via
+/// RenderSQL. Every other unit is text: `sql` holds the rewritten statement
+/// and `stmt` is null.
 struct SQLUnit {
   std::string data_source;
   std::string sql;
@@ -70,8 +70,8 @@ struct SQLUnit {
   /// renumbered to `params`). Shared: interceptors copy units freely.
   std::shared_ptr<const sql::Statement> stmt;
 
-  /// The unit's SQL text, built from `stmt` when the structured lane skipped
-  /// string-building. For display (PREVIEW, logs) — not the execution path.
+  /// The unit's SQL text, built from `stmt` for structured units. For
+  /// display (PREVIEW, logs) — not the execution path.
   std::string RenderSQL(const sql::Dialect& dialect) const {
     if (!sql.empty() || stmt == nullptr) return sql;
     return stmt->ToSQL(dialect);

@@ -56,24 +56,18 @@ Result<sql::StatementPtr> ShardingRuntime::ApplyKeyGeneration(
       return sql::StatementPtr(nullptr);  // caller supplied the key
     }
   }
-  // Append the generated-key column with fresh keys on every row. Behind
-  // parameter binding the keys ride as bound parameters, so the statement
-  // text stays stable across executions (a prepared keygen INSERT keeps
-  // hitting the node statement cache); inlined literals are the baseline.
-  bool bind = engine::PipelineConfig::dml_param_binding_enabled();
+  // Append the generated-key column with fresh keys on every row. The keys
+  // ride as bound parameters, so the statement stays stable across
+  // executions and its units carry no per-execution literals.
   auto clone = stmt.Clone();
   auto* mutable_ins = static_cast<sql::InsertStatement*>(clone.get());
   mutable_ins->columns.push_back(table_rule->keygen_column());
   for (auto& row : mutable_ins->rows) {
     Value key = table_rule->key_generator()->NextKey();
     if (key.is_int()) *generated = key.AsInt();
-    if (bind) {
-      row.push_back(std::make_unique<sql::ParamExpr>(
-          static_cast<int>(params->size())));
-      params->push_back(std::move(key));
-    } else {
-      row.push_back(std::make_unique<sql::LiteralExpr>(std::move(key)));
-    }
+    row.push_back(std::make_unique<sql::ParamExpr>(
+        static_cast<int>(params->size())));
+    params->push_back(std::move(key));
   }
   return clone;
 }

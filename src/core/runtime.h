@@ -127,20 +127,15 @@ class ShardingRuntime {
   CacheStats statement_cache_stats() const { return stmt_cache_.stats(); }
   const StatementCache& statement_cache() const { return stmt_cache_; }
 
-  /// Overrides the executor's scheduler pool (tests / benchmarks). nullptr
-  /// selects the legacy spawn-per-statement dispatch.
-  void set_executor_pool(ThreadPool* pool) { executor_.set_thread_pool(pool); }
-
   /// Last chosen connection mode (observability for Fig. 15 analysis).
   ConnectionMode last_connection_mode() const {
     return last_mode_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// Fills generated keys into INSERTs on tables with a key generator. With
-  /// parameter binding enabled the keys are appended to `params` behind new
-  /// placeholders (the statement text stays stable across executions);
-  /// otherwise they are inlined as literals.
+  /// Fills generated keys into INSERTs on tables with a key generator: the
+  /// keys are appended to `params` behind new placeholders, so the statement
+  /// stays stable across executions.
   Result<sql::StatementPtr> ApplyKeyGeneration(const sql::Statement& stmt,
                                                std::vector<Value>* params,
                                                int64_t* generated) const;

@@ -326,8 +326,7 @@ Result<ScanPlan> Executor::PlanScan(const sql::TableRef& ref,
 
 Result<Executor::SourceRows> Executor::ScanTable(
     const sql::TableRef& ref, const sql::Expr* where,
-    const std::vector<Value>& params,
-    const storage::ReadView* view_override) {
+    const std::vector<Value>& params) {
   SPHERE_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(ref, where, params));
   SourceRows out;
   const std::string& qual = ref.EffectiveName();
@@ -339,19 +338,13 @@ Result<Executor::SourceRows> Executor::ScanTable(
   // materializes the scan here; the copy is the price of releasing the latch
   // before join/merge work (single-table SELECTs bypass this entirely via
   // Executor::TryStreamSelect). Under mvcc the cursor self-latches in short
-  // bursts instead of freezing the table for the whole copy; DML fallback
-  // lanes (view_override) keep the blocking reader section — their caller
-  // re-checks every row under the writer latch anyway.
-  const bool self_latch =
-      view_override == nullptr &&
-      PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
-  storage::ReadView view = view_override != nullptr ? *view_override
-                                                    : read_view_;
+  // bursts instead of freezing the table for the whole copy.
+  const bool self_latch = concurrency_ == ConcurrencyControl::kMvcc;
   OptionalReaderLock lk(self_latch ? nullptr : &plan.table->latch());
   if (!plan.pk_cond.has_value() && !plan.idx_cond.has_value()) {
     out.rows.reserve(plan.table->row_count());
   }
-  TableScanCursor cursor(plan, view, self_latch);
+  TableScanCursor cursor(plan, read_view_, self_latch);
   for (const Row* row = cursor.Next(); row != nullptr; row = cursor.Next()) {
     out.rows.push_back(*row);
   }
@@ -415,8 +408,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
       // Same latch profile as the row stream below: mvcc self-latches per
       // batch against the statement snapshot; latch mode holds one shared
       // section across the whole fold.
-      const bool self_latch =
-          PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
+      const bool self_latch = concurrency_ == ConcurrencyControl::kMvcc;
       OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
       TableScanCursor cursor(plan, read_view_, self_latch);
       for (const Row* row = cursor.Next(); row != nullptr;
@@ -500,9 +492,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
 
   std::vector<std::string> labels = BuildLabels(stmt, columns);
   // Output spine and (on the plain-stream path) projection rows come from
-  // the recycler; with `pooled_batches` off both acquires return fresh
-  // storage, restoring the malloc baseline.
-  const bool pooled = PipelineConfig::pooled_batches_enabled();
+  // the recycler.
   std::vector<Row> output = RowStore::Instance().AcquireShell();
   std::vector<Row> spare = RowStore::Instance().AcquireShell();
   {
@@ -510,8 +500,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
     // against the statement snapshot — writers never wait for this drain.
     // latch: one shared section across the whole drain, the blocking
     // baseline profile (identical results, old latch behaviour).
-    const bool self_latch =
-        PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
+    const bool self_latch = concurrency_ == ConcurrencyControl::kMvcc;
     OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
     TableScanCursor cursor(plan, read_view_, self_latch);
     if (order == OrderMode::kTopK) {
@@ -566,18 +555,14 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
       // capped by what the access path can possibly emit, so a point lookup
       // borrows one row, not a whole chunk.
       constexpr size_t kSpareChunk = 256;
-      ArenaVector<ProjectionStep> steps;
+      ArenaVector<ProjectionStep> steps = BuildProjectionSteps(stmt, columns);
       size_t dry_until = 0;  ///< probe the pool again at this output size
-      if (pooled) {
-        steps = BuildProjectionSteps(stmt, columns);
-        size_t bound = count_limit;
-        if (plan.pk_cond.has_value() &&
-            plan.pk_cond->kind != ColumnCondition::Kind::kRange) {
-          bound = std::min(bound, plan.pk_cond->values.size());
-        }
-        RowStore::Instance().AcquireRows(&spare,
-                                         std::min(bound, kSpareChunk));
+      size_t bound = count_limit;
+      if (plan.pk_cond.has_value() &&
+          plan.pk_cond->kind != ColumnCondition::Kind::kRange) {
+        bound = std::min(bound, plan.pk_cond->values.size());
       }
+      RowStore::Instance().AcquireRows(&spare, std::min(bound, kSpareChunk));
       size_t skipped = 0;
       for (const Row* row = cursor.Next();
            row != nullptr && output.size() < count_limit;
@@ -591,25 +576,19 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
           ++skipped;
           continue;
         }
-        if (pooled) {
-          if (spare.empty() && output.size() >= dry_until) {
-            if (RowStore::Instance().AcquireRows(&spare, kSpareChunk) == 0) {
-              dry_until = output.size() + kSpareChunk;
-            }
+        if (spare.empty() && output.size() >= dry_until) {
+          if (RowStore::Instance().AcquireRows(&spare, kSpareChunk) == 0) {
+            dry_until = output.size() + kSpareChunk;
           }
-          Row projected;
-          if (!spare.empty()) {
-            projected = std::move(spare.back());
-            spare.pop_back();
-          }
-          SPHERE_RETURN_NOT_OK(
-              ProjectRowInto(steps, columns, *row, params, &projected));
-          output.push_back(std::move(projected));
-        } else {
-          SPHERE_ASSIGN_OR_RETURN(Row projected,
-                                  ProjectRow(stmt, columns, *row, params));
-          output.push_back(std::move(projected));
         }
+        Row projected;
+        if (!spare.empty()) {
+          projected = std::move(spare.back());
+          spare.pop_back();
+        }
+        SPHERE_RETURN_NOT_OK(
+            ProjectRowInto(steps, columns, *row, params, &projected));
+        output.push_back(std::move(projected));
       }
       offset = 0;  // already applied during the scan
     }
@@ -1078,105 +1057,53 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStatement& stmt,
     target_cols.push_back(ci);
   }
 
-  // Index-backed point path (DESIGN.md §10): when the WHERE pins the primary
-  // key or a secondary-indexed column, find, filter and mutate under one
-  // writer section — O(matches · log n) instead of a full reader-lock
-  // snapshot followed by a per-row re-lookup.
-  if (PipelineConfig::point_dml_enabled()) {
-    SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
-                            PlanScan(stmt.table, stmt.where.get(), params));
-    if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-      BoundColumns columns;
-      const std::string& qual = stmt.table.EffectiveName();
-      for (const auto& col : table->schema().columns()) {
-        columns.Add(qual, col.name);
-      }
-      int64_t writer =
-          txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-      storage::ReadView wview = storage::ReadView::Latest(writer);
-      std::vector<std::pair<Value, Row>> pending;  // pk -> new image
-      std::vector<Row> old_images;
-      std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
-      {
-        WriterLock lk(table->latch());
-        {
-          TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-          for (const Row* row = cursor.Next(); row != nullptr;
-               row = cursor.Next()) {
-            if (stmt.where != nullptr) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-              if (!IsTruthy(ok)) continue;
-            }
-            Row new_row = *row;
-            for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value v, EvalExpr(stmt.assignments[i].value.get(), columns,
-                                    *row, params));
-              new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
-            }
-            pending.emplace_back((*row)[static_cast<size_t>(pk)],
-                                 std::move(new_row));
-            if (txn != nullptr) old_images.push_back(*row);
-          }
-        }
-        // Apply after the scan: Update rewrites secondary-index postings the
-        // cursor may still be iterating.
-        applied.reserve(pending.size());
-        for (size_t i = 0; i < pending.size(); ++i) {
-          Status st = table->Update(pending[i].first, pending[i].second, writer);
-          if (!st.ok()) {
-            // Auto-commit: unlink this statement's pending versions so a
-            // mid-apply failure leaves no invisible garbage; in a txn the
-            // undo records already written cover rollback.
-            if (txn == nullptr) {
-              for (const Value& p : applied) {
-                table->AbortWrite(p, writer, /*newest_only=*/true);
-              }
-            }
-            return st;
-          }
-          applied.push_back(pending[i].first);
-          if (txn != nullptr) {
-            txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
-                          pending[i].first, std::move(old_images[i])});
-          }
-        }
-      }
-      if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-      return ExecResult::Update(static_cast<int64_t>(pending.size()));
-    }
+  // Find, filter and mutate under one writer section (DESIGN.md §10): the
+  // access-path cursor is a PK/index lookup when the WHERE pins one, a full
+  // scan otherwise, and WHERE and SET both read the image being replaced.
+  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
+                          PlanScan(stmt.table, stmt.where.get(), params));
+  BoundColumns columns;
+  const std::string& qual = stmt.table.EffectiveName();
+  for (const auto& col : table->schema().columns()) {
+    columns.Add(qual, col.name);
   }
-
   int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
   storage::ReadView wview = storage::ReadView::Latest(writer);
-  SPHERE_ASSIGN_OR_RETURN(
-      SourceRows src, ScanTable(stmt.table, stmt.where.get(), params, &wview));
-
-  int64_t updated = 0;
-  std::vector<Value> applied;
+  std::vector<std::pair<Value, Row>> pending;  // pk -> new image
+  std::vector<Row> old_images;
+  std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
   {
     WriterLock lk(table->latch());
-    for (const Row& row : src.rows) {
-      if (stmt.where != nullptr) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value ok, EvalExpr(stmt.where.get(), src.columns, row, params));
-        if (!IsTruthy(ok)) continue;
+    {
+      TableScanCursor cursor(plan, wview, /*self_latch=*/false);
+      for (const Row* row = cursor.Next(); row != nullptr;
+           row = cursor.Next()) {
+        if (stmt.where != nullptr) {
+          SPHERE_ASSIGN_OR_RETURN(
+              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
+          if (!IsTruthy(ok)) continue;
+        }
+        Row new_row = *row;
+        for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+          SPHERE_ASSIGN_OR_RETURN(
+              Value v, EvalExpr(stmt.assignments[i].value.get(), columns,
+                                *row, params));
+          new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
+        }
+        pending.emplace_back((*row)[static_cast<size_t>(pk)],
+                             std::move(new_row));
+        if (txn != nullptr) old_images.push_back(*row);
       }
-      // Re-fetch the current image: the scan snapshot may be stale.
-      const Value& key = row[static_cast<size_t>(pk)];
-      const Row* current = table->FindVisible(key, wview);
-      if (current == nullptr) continue;
-      Row new_row = *current;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value v, EvalExpr(stmt.assignments[i].value.get(), src.columns,
-                              *current, params));
-        new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
-      }
-      Row old_row = *current;
-      Status st = table->Update(key, new_row, writer);
+    }
+    // Apply after the scan: Update rewrites secondary-index postings the
+    // cursor may still be iterating.
+    applied.reserve(pending.size());
+    for (size_t i = 0; i < pending.size(); ++i) {
+      Status st = table->Update(pending[i].first, pending[i].second, writer);
       if (!st.ok()) {
+        // Auto-commit: unlink this statement's pending versions so a
+        // mid-apply failure leaves no invisible garbage; in a txn the undo
+        // records already written cover rollback.
         if (txn == nullptr) {
           for (const Value& p : applied) {
             table->AbortWrite(p, writer, /*newest_only=*/true);
@@ -1184,16 +1111,15 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStatement& stmt,
         }
         return st;
       }
-      applied.push_back(key);
-      ++updated;
+      applied.push_back(pending[i].first);
       if (txn != nullptr) {
-        txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(), key,
-                      std::move(old_row)});
+        txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
+                      pending[i].first, std::move(old_images[i])});
       }
     }
   }
   if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-  return ExecResult::Update(updated);
+  return ExecResult::Update(static_cast<int64_t>(pending.size()));
 }
 
 Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStatement& stmt,
@@ -1204,85 +1130,48 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStatement& stmt,
   int pk = table->pk_index();
   if (pk < 0) return Status::Unsupported("DELETE on table without primary key");
 
-  // Index-backed point path, mirroring ExecuteUpdate: collect the matching
-  // keys through the access-path cursor, then delete — all under one writer
-  // section (Delete restructures the leaf chain the cursor walks, so the
-  // two phases cannot interleave).
-  if (PipelineConfig::point_dml_enabled()) {
-    SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
-                            PlanScan(stmt.table, stmt.where.get(), params));
-    if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-      BoundColumns columns;
-      const std::string& qual = stmt.table.EffectiveName();
-      for (const auto& col : table->schema().columns()) {
-        columns.Add(qual, col.name);
-      }
-      int64_t writer =
-          txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-      storage::ReadView wview = storage::ReadView::Latest(writer);
-      std::vector<Value> keys;
-      std::vector<Value> applied;
-      int64_t removed = 0;
-      {
-        WriterLock lk(table->latch());
-        {
-          TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-          for (const Row* row = cursor.Next(); row != nullptr;
-               row = cursor.Next()) {
-            if (stmt.where != nullptr) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-              if (!IsTruthy(ok)) continue;
-            }
-            keys.push_back((*row)[static_cast<size_t>(pk)]);
-          }
-        }
-        applied.reserve(keys.size());
-        for (const Value& key : keys) {
-          Row old_row;
-          Status st = table->Delete(key, &old_row, writer);
-          if (!st.ok()) continue;  // already gone
-          ++removed;
-          applied.push_back(key);
-          if (txn != nullptr) {
-            txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
-                          std::move(old_row)});
-          }
-        }
-      }
-      if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-      return ExecResult::Update(removed);
-    }
+  // Mirrors ExecuteUpdate: collect the matching keys through the access-path
+  // cursor, then delete — all under one writer section (Delete restructures
+  // the leaf chain the cursor walks, so the two phases cannot interleave).
+  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
+                          PlanScan(stmt.table, stmt.where.get(), params));
+  BoundColumns columns;
+  const std::string& qual = stmt.table.EffectiveName();
+  for (const auto& col : table->schema().columns()) {
+    columns.Add(qual, col.name);
   }
-
   int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
   storage::ReadView wview = storage::ReadView::Latest(writer);
-  SPHERE_ASSIGN_OR_RETURN(
-      SourceRows src, ScanTable(stmt.table, stmt.where.get(), params, &wview));
-
-  int64_t deleted = 0;
+  std::vector<Value> keys;
   std::vector<Value> applied;
   {
     WriterLock lk(table->latch());
-    for (const Row& row : src.rows) {
-      if (stmt.where != nullptr) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value ok, EvalExpr(stmt.where.get(), src.columns, row, params));
-        if (!IsTruthy(ok)) continue;
+    {
+      TableScanCursor cursor(plan, wview, /*self_latch=*/false);
+      for (const Row* row = cursor.Next(); row != nullptr;
+           row = cursor.Next()) {
+        if (stmt.where != nullptr) {
+          SPHERE_ASSIGN_OR_RETURN(
+              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
+          if (!IsTruthy(ok)) continue;
+        }
+        keys.push_back((*row)[static_cast<size_t>(pk)]);
       }
+    }
+    applied.reserve(keys.size());
+    for (const Value& key : keys) {
       Row old_row;
-      Status st = table->Delete(row[static_cast<size_t>(pk)], &old_row, writer);
+      Status st = table->Delete(key, &old_row, writer);
       if (!st.ok()) continue;  // already gone
-      ++deleted;
-      applied.push_back(row[static_cast<size_t>(pk)]);
+      applied.push_back(key);
       if (txn != nullptr) {
-        txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(),
-                      row[static_cast<size_t>(pk)], std::move(old_row)});
+        txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
+                      std::move(old_row)});
       }
     }
   }
   if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-  return ExecResult::Update(deleted);
+  return ExecResult::Update(static_cast<int64_t>(applied.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -1353,12 +1242,14 @@ Result<ExecResult> Executor::Execute(const sql::Statement& stmt,
   // snapshot plus their own pending writes (repeatable read); auto-commit
   // SELECTs under mvcc pin a statement-scoped snapshot so self-latched scans
   // stay consistent across latch bursts; everything else reads the latest
-  // committed state.
+  // committed state. The concurrency-control mode is read once here, so a
+  // toggle mid-statement cannot pair a self-latched scan with an unpinned
+  // view.
+  concurrency_ = PipelineConfig::concurrency_control();
   if (txn != nullptr) {
     read_view_ = txn->view();
   } else if (stmt.kind() == sql::StatementKind::kSelect &&
-             PipelineConfig::concurrency_control() ==
-                 ConcurrencyControl::kMvcc) {
+             concurrency_ == ConcurrencyControl::kMvcc) {
     stmt_snapshot_ = storage::Snapshot(db_->epochs());
     read_view_ = stmt_snapshot_.view();
   } else {

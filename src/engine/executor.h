@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "engine/evaluator.h"
+#include "engine/pipeline.h"
 #include "engine/result_set.h"
 #include "engine/scan_cursor.h"
 #include "sql/ast.h"
@@ -66,13 +67,9 @@ class Executor {
       const sql::SelectStatement& stmt, const std::vector<Value>& params);
 
   /// Scans one table (index-assisted when `where` permits) into memory.
-  /// `view_override` (DML fallback lanes) resolves rows against the write
-  /// view instead of the statement's read view, under a caller-style reader
-  /// latch regardless of the concurrency-control mode.
-  Result<SourceRows> ScanTable(
-      const sql::TableRef& ref, const sql::Expr* where,
-      const std::vector<Value>& params,
-      const storage::ReadView* view_override = nullptr);
+  Result<SourceRows> ScanTable(const sql::TableRef& ref,
+                               const sql::Expr* where,
+                               const std::vector<Value>& params);
 
   /// Builds the joined/filtered source relation of a SELECT.
   Result<SourceRows> BuildSource(const sql::SelectStatement& stmt,
@@ -93,6 +90,8 @@ class Executor {
   /// statement-scoped.
   storage::ReadView read_view_;
   storage::Snapshot stmt_snapshot_;
+  /// The statement's concurrency-control mode, read once by Execute.
+  ConcurrencyControl concurrency_ = ConcurrencyControl::kMvcc;
 };
 
 }  // namespace sphere::engine

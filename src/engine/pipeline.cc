@@ -4,11 +4,7 @@ namespace sphere::engine {
 
 std::atomic<size_t> PipelineConfig::batch_size_{PipelineConfig::kDefaultBatchSize};
 std::atomic<bool> PipelineConfig::streaming_{true};
-std::atomic<bool> PipelineConfig::dml_passthrough_{true};
-std::atomic<bool> PipelineConfig::dml_param_binding_{true};
-std::atomic<bool> PipelineConfig::point_dml_{true};
 std::atomic<bool> PipelineConfig::arena_statements_{true};
-std::atomic<bool> PipelineConfig::pooled_batches_{true};
 std::atomic<bool> PipelineConfig::observability_{true};
 std::atomic<uint32_t> PipelineConfig::trace_sample_interval_{
     PipelineConfig::kDefaultTraceSampleInterval};

@@ -46,42 +46,6 @@ class PipelineConfig {
     streaming_.store(on, std::memory_order_relaxed);
   }
 
-  /// Write-path fast lane (DESIGN.md §10): the rewriter attaches the per-unit
-  /// rewritten AST to each DML SQLUnit and skips ToSQL string-building; the
-  /// execution engine dispatches those units through the node session's
-  /// structured entry point, so neither side serializes or re-parses SQL
-  /// text. Off restores the text lanes end to end.
-  static bool dml_passthrough_enabled() {
-    return dml_passthrough_.load(std::memory_order_relaxed);
-  }
-  static void set_dml_passthrough_enabled(bool on) {
-    dml_passthrough_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Parameter-preserving DML rewrite: INSERT splitting renumbers `?`
-  /// placeholders per unit and ships a compact parameter slice instead of
-  /// inlining values into the text, so repeated prepared INSERTs produce a
-  /// stable per-shard text that hits the node statement cache. Off restores
-  /// the inlining rewrite (every execution a unique text — guaranteed node
-  /// parse-cache miss), kept as the benchmark baseline.
-  static bool dml_param_binding_enabled() {
-    return dml_param_binding_.load(std::memory_order_relaxed);
-  }
-  static void set_dml_param_binding_enabled(bool on) {
-    dml_param_binding_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Index-backed point DML: UPDATE/DELETE whose WHERE pins the primary key
-  /// or a secondary-indexed column mutate through the access-path cursor
-  /// under a single writer-latch section (no reader-lock snapshot, no
-  /// re-lookup per row). Off restores the materialize-then-mutate baseline.
-  static bool point_dml_enabled() {
-    return point_dml_.load(std::memory_order_relaxed);
-  }
-  static void set_point_dml_enabled(bool on) {
-    point_dml_.store(on, std::memory_order_relaxed);
-  }
-
   /// Statement-scoped arenas (DESIGN.md §12): every statement executes under
   /// an ArenaScope, so AST nodes (parse, Clone, rewrite output) and scratch
   /// containers bump-allocate and are reclaimed wholesale at statement end.
@@ -91,19 +55,6 @@ class PipelineConfig {
   }
   static void set_arena_statements_enabled(bool on) {
     arena_statements_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Pooled row batches (DESIGN.md §12): the streaming select path projects
-  /// into recycled rows (string capacity reused in place), result-set drains
-  /// reuse pooled batch vectors, and the simulated wire skips the
-  /// encode/decode round-trip for in-process calls while still charging
-  /// byte-identical transfer sizes. Off restores fresh vectors per batch and
-  /// the full encode path.
-  static bool pooled_batches_enabled() {
-    return pooled_batches_.load(std::memory_order_relaxed);
-  }
-  static void set_pooled_batches_enabled(bool on) {
-    pooled_batches_.store(on, std::memory_order_relaxed);
   }
 
   /// Observability master switch (DESIGN.md §13): gates statement-trace
@@ -190,11 +141,7 @@ class PipelineConfig {
  private:
   static std::atomic<size_t> batch_size_;
   static std::atomic<bool> streaming_;
-  static std::atomic<bool> dml_passthrough_;
-  static std::atomic<bool> dml_param_binding_;
-  static std::atomic<bool> point_dml_;
   static std::atomic<bool> arena_statements_;
-  static std::atomic<bool> pooled_batches_;
   static std::atomic<bool> observability_;
   static std::atomic<uint32_t> trace_sample_interval_;
   static std::atomic<bool> proxy_multiplexing_;
@@ -235,59 +182,6 @@ class ScopedStreamingMode {
 
   ScopedStreamingMode(const ScopedStreamingMode&) = delete;
   ScopedStreamingMode& operator=(const ScopedStreamingMode&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the structured pass-through lane (differential tests and
-/// the pass-through-vs-reparse ablation); restores the previous setting.
-class ScopedDmlPassThrough {
- public:
-  explicit ScopedDmlPassThrough(bool on)
-      : previous_(PipelineConfig::dml_passthrough_enabled()) {
-    PipelineConfig::set_dml_passthrough_enabled(on);
-  }
-  ~ScopedDmlPassThrough() {
-    PipelineConfig::set_dml_passthrough_enabled(previous_);
-  }
-
-  ScopedDmlPassThrough(const ScopedDmlPassThrough&) = delete;
-  ScopedDmlPassThrough& operator=(const ScopedDmlPassThrough&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the parameter-preserving DML rewrite.
-class ScopedDmlParamBinding {
- public:
-  explicit ScopedDmlParamBinding(bool on)
-      : previous_(PipelineConfig::dml_param_binding_enabled()) {
-    PipelineConfig::set_dml_param_binding_enabled(on);
-  }
-  ~ScopedDmlParamBinding() {
-    PipelineConfig::set_dml_param_binding_enabled(previous_);
-  }
-
-  ScopedDmlParamBinding(const ScopedDmlParamBinding&) = delete;
-  ScopedDmlParamBinding& operator=(const ScopedDmlParamBinding&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the index-backed point UPDATE/DELETE path.
-class ScopedPointDml {
- public:
-  explicit ScopedPointDml(bool on)
-      : previous_(PipelineConfig::point_dml_enabled()) {
-    PipelineConfig::set_point_dml_enabled(on);
-  }
-  ~ScopedPointDml() { PipelineConfig::set_point_dml_enabled(previous_); }
-
-  ScopedPointDml(const ScopedPointDml&) = delete;
-  ScopedPointDml& operator=(const ScopedPointDml&) = delete;
 
  private:
   bool previous_;
@@ -348,24 +242,6 @@ class ScopedTraceSampling {
 
  private:
   uint32_t previous_;
-};
-
-/// RAII toggle for pooled row batches / recycled projection storage.
-class ScopedPooledBatches {
- public:
-  explicit ScopedPooledBatches(bool on)
-      : previous_(PipelineConfig::pooled_batches_enabled()) {
-    PipelineConfig::set_pooled_batches_enabled(on);
-  }
-  ~ScopedPooledBatches() {
-    PipelineConfig::set_pooled_batches_enabled(previous_);
-  }
-
-  ScopedPooledBatches(const ScopedPooledBatches&) = delete;
-  ScopedPooledBatches& operator=(const ScopedPooledBatches&) = delete;
-
- private:
-  bool previous_;
 };
 
 /// RAII toggle for the event-driven proxy front end. Wrap *construction* of

@@ -98,8 +98,8 @@ class StorageNode {
 
   /// Server-side statement-cache observability: a hit skips the parser, a
   /// miss pays a full parse. The write-lane tests and benchmarks use these
-  /// to prove the cached-text lane re-parses nothing and the structured lane
-  /// never even consults the cache. Per-instance shims over the registry
+  /// to prove structured DML units never even consult the cache.
+  /// Per-instance shims over the registry
   /// counters published as `node.<name>.parse_cache.{hits,misses}`.
   int64_t parse_cache_hits() const { return parse_cache_hits_.value(); }
   int64_t parse_cache_misses() const { return parse_cache_misses_.value(); }

@@ -95,9 +95,9 @@ std::string EncodeError(const Status& status);
 /// Decodes a response into an ExecResult (materialized) or error status.
 Result<engine::ExecResult> DecodeResponse(std::string_view data);
 
-// --- Size mirrors (pooled pass-through lane) --------------------------------
+// --- Size mirrors (in-process pass-through) ---------------------------------
 //
-// The in-process fast lane skips the encode/decode round-trip but must keep
+// The in-process wire skips the encode/decode round-trip but must keep
 // the latency model honest, so it charges the exact byte count the encoders
 // would have produced. Each mirror is kept in lockstep with its encoder; the
 // packet unit tests assert `Encode*(x).size() == Encoded*Size(x)`.

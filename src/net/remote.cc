@@ -1,7 +1,5 @@
 #include "net/remote.h"
 
-#include "engine/pipeline.h"
-
 namespace sphere::net {
 
 std::string ServeRequest(engine::StorageNode::Session* session,
@@ -69,28 +67,25 @@ Status RemoteConnection::CallStatus(const std::string& request) {
 
 Result<engine::ExecResult> RemoteConnection::Execute(
     std::string_view sql_text, const std::vector<Value>& params) {
-  if (engine::PipelineConfig::pooled_batches_enabled()) {
-    // In-process pass-through lane: skip the encode → decode → serve →
-    // encode → decode round-trip (and all its buffers) but charge the
-    // byte-identical transfer sizes the encoders would have produced, so
-    // the latency model sees exactly the baseline's wire traffic.
-    network_->Transfer(EncodedQuerySize(sql_text, params));
-    auto result = session_->Execute(sql_text, params);
-    if (!result.ok()) {
-      network_->Transfer(EncodedErrorSize(result.status()));
-      return result;
-    }
-    if (std::optional<size_t> size = TryEncodedExecResultSize(result.value())) {
-      network_->Transfer(*size);
-      return result;
-    }
-    // Unmaterialized cursor: only a real drain can price it — take the
-    // baseline encode/decode path for the response leg.
-    std::string response = EncodeExecResult(&result.value());
-    network_->Transfer(response.size());
-    return DecodeResponse(response);
+  // In-process pass-through: skip the encode → decode → serve → encode →
+  // decode round-trip (and all its buffers) but charge the byte-identical
+  // transfer sizes the encoders would have produced, so the latency model
+  // sees exactly the encoded wire traffic.
+  network_->Transfer(EncodedQuerySize(sql_text, params));
+  auto result = session_->Execute(sql_text, params);
+  if (!result.ok()) {
+    network_->Transfer(EncodedErrorSize(result.status()));
+    return result;
   }
-  return Call(EncodeQuery(sql_text, params));
+  if (std::optional<size_t> size = TryEncodedExecResultSize(result.value())) {
+    network_->Transfer(*size);
+    return result;
+  }
+  // Unmaterialized cursor: only a real drain can price it — encode and
+  // decode the response leg.
+  std::string response = EncodeExecResult(&result.value());
+  network_->Transfer(response.size());
+  return DecodeResponse(response);
 }
 
 Result<engine::ExecResult> RemoteConnection::ExecuteStructured(

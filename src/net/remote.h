@@ -19,10 +19,12 @@ std::string ServeRequest(engine::StorageNode::Session* session,
 
 /// One client connection to a storage node over the simulated network.
 ///
-/// Every call encodes a protocol packet, pays the transfer latency both ways,
-/// and decodes the response — the cost structure of a real driver talking to
-/// a real database server. This is what the embedded (JDBC-like) adaptor
-/// holds in its pools; the proxy holds these on its backend side.
+/// Every call pays the transfer latency of its encoded protocol packets both
+/// ways — the cost structure of a real driver talking to a real database
+/// server. Queries charge encoder-size mirrors instead of building the bytes
+/// (only unmaterialized cursors are really encoded and decoded); commands
+/// are encoded, served and decoded. This is what the embedded (JDBC-like)
+/// adaptor holds in its pools; the proxy holds these on its backend side.
 class RemoteConnection {
  public:
   RemoteConnection(engine::StorageNode* node, const LatencyModel* network)
@@ -34,7 +36,7 @@ class RemoteConnection {
   Result<engine::ExecResult> Execute(std::string_view sql_text,
                                      const std::vector<Value>& params = {});
 
-  /// Structured fast lane (DESIGN.md §10): executes an already-rewritten
+  /// Structured DML path (DESIGN.md §10): executes an already-rewritten
   /// statement on the node session directly — no text building, no request
   /// string encode/decode, no server-side parse. The latency model still
   /// charges a binary prepared-execute request (header + statement handle +

@@ -195,7 +195,10 @@ TEST_F(AdaptorTest, ProxyErrorsCrossTheWire) {
 
 TEST_F(AdaptorTest, ProxySlowerThanJdbcUnderLatency) {
   // Rebuild the stack with a real latency model; the proxy pays an extra
-  // client<->proxy round trip per statement (paper Table III/IV shape).
+  // client<->proxy round trip per statement (paper Table III/IV shape). The
+  // model's own message count is the measure: every message pays one
+  // modelled hop, so two more messages per statement is one more RTT, and
+  // unlike a wall-clock comparison it does not depend on host load.
   net::NetworkConfig netcfg;
   netcfg.hop_latency_us = 300;
   ShardingDataSource slow_ds{core::RuntimeConfig(), netcfg};
@@ -207,20 +210,24 @@ TEST_F(AdaptorTest, ProxySlowerThanJdbcUnderLatency) {
   auto jdbc_conn = slow_ds.GetConnection();
   ASSERT_TRUE(jdbc_conn->ExecuteSQL("CREATE TABLE t (id INT PRIMARY KEY)").ok());
 
-  ShardingProxy proxy(&slow_ds, &slow_ds.runtime()->network());
+  const net::LatencyModel& network = slow_ds.runtime()->network();
+  ShardingProxy proxy(&slow_ds, &network);
   auto proxy_conn = proxy.Connect();
 
-  Stopwatch jt;
-  for (int i = 0; i < 10; ++i) {
+  constexpr int kStatements = 10;
+  int64_t before = network.messages();
+  for (int i = 0; i < kStatements; ++i) {
     ASSERT_TRUE(jdbc_conn->ExecuteSQL("SELECT * FROM t WHERE id = 1").ok());
   }
-  int64_t jdbc_us = jt.ElapsedMicros();
-  Stopwatch pt;
-  for (int i = 0; i < 10; ++i) {
+  int64_t jdbc_messages = network.messages() - before;
+  before = network.messages();
+  for (int i = 0; i < kStatements; ++i) {
     ASSERT_TRUE(proxy_conn->Execute("SELECT * FROM t WHERE id = 1").ok());
   }
-  int64_t proxy_us = pt.ElapsedMicros();
-  EXPECT_GT(proxy_us, jdbc_us + 10 * 2 * 250);  // ≥ one extra RTT per query
+  int64_t proxy_messages = network.messages() - before;
+  EXPECT_GE(jdbc_messages, kStatements * 2);  // request + response per query
+  EXPECT_GE(proxy_messages - jdbc_messages, kStatements * 2)
+      << "jdbc=" << jdbc_messages << " proxy=" << proxy_messages;
 }
 
 TEST_F(AdaptorTest, ConcurrentConnections) {

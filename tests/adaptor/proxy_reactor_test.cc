@@ -151,12 +151,6 @@ void RunDifferential() {
 
 TEST(ProxyReactorTest, MultiplexedLaneMatchesBlockingLane) { RunDifferential(); }
 
-TEST(ProxyReactorTest, LanesMatchOnTheEncodedWirePathToo) {
-  // Force the real encode/decode round trip (no pass-through size mirrors).
-  engine::ScopedPooledBatches off(false);
-  RunDifferential();
-}
-
 TEST(ProxyReactorTest, MaxConRejectsSessionsPastTheCap) {
   Cluster c = MakeCluster();
   engine::ScopedProxyFrontEnd knobs(/*max_connections=*/2,

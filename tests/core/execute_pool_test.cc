@@ -89,17 +89,10 @@ TEST_F(ExecutePoolTest, ResultsAlignOnSharedPoolDefault) {
 }
 
 TEST_F(ExecutePoolTest, SingleUnitRunsInlineWithoutPool) {
-  ExecutionEngine engine(&registry_, 1, nullptr);  // even with no pool at all
+  // A null pool selects the shared scheduler; one unit never touches it.
+  ExecutionEngine engine(&registry_, 1, nullptr);
+  EXPECT_EQ(engine.thread_pool(), SharedThreadPool());
   std::vector<SQLUnit> units = StripedUnits(1);
-  auto outcome = engine.Execute(units, nullptr);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ExpectAligned(units, std::move(outcome.value().results));
-}
-
-TEST_F(ExecutePoolTest, LegacySpawnBaselineStillAligns) {
-  ExecutionEngine engine(&registry_, 1);
-  engine.set_thread_pool(nullptr);  // benchmark baseline path
-  std::vector<SQLUnit> units = StripedUnits(6);
   auto outcome = engine.Execute(units, nullptr);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectAligned(units, std::move(outcome.value().results));

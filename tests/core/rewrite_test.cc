@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/route.h"
-#include "engine/pipeline.h"
 #include "sql/parser.h"
 
 namespace sphere::core {
@@ -211,22 +210,24 @@ RouteResult InsertSplitRoute() {
 }
 
 TEST(RewriteTest, InsertSplitByRows) {
-  // Cached-text lane: placeholders survive, rows split per unit. (The
-  // structured default skips text generation entirely; see
-  // InsertStructuredByDefault.)
-  engine::ScopedDmlPassThrough text_lane(false);
+  // Literal rows split per unit; the rendered text of each unit holds only
+  // its own rows under its actual table name.
   auto r = MustRewrite(
       "INSERT INTO t_user (uid, name) VALUES (0, 'a'), (1, 'b'), (2, 'c')",
       InsertSplitRoute());
   ASSERT_EQ(r.units.size(), 2u);
-  EXPECT_NE(r.units[0].sql.find("(0, 'a'), (2, 'c')"), std::string::npos);
-  EXPECT_NE(r.units[1].sql.find("(1, 'b')"), std::string::npos);
-  EXPECT_NE(r.units[1].sql.find("t_user_1"), std::string::npos);
+  const auto& dialect = sql::Dialect::Get(sql::DialectType::kMySQL);
+  std::string unit0 = r.units[0].RenderSQL(dialect);
+  std::string unit1 = r.units[1].RenderSQL(dialect);
+  EXPECT_NE(unit0.find("(0, 'a'), (2, 'c')"), std::string::npos);
+  EXPECT_EQ(unit0.find("(1, 'b')"), std::string::npos);
+  EXPECT_NE(unit1.find("(1, 'b')"), std::string::npos);
+  EXPECT_NE(unit1.find("t_user_1"), std::string::npos);
 }
 
 TEST(RewriteTest, InsertStructuredByDefault) {
-  // Structured pass-through lane (the default): no text is rendered; the
-  // rewritten AST plus a compact per-unit parameter slice travel instead.
+  // Structured units: no text is rendered; the rewritten AST plus a compact
+  // per-unit parameter slice travel instead.
   auto r = MustRewrite(
       "INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ?), (?, ?)",
       InsertSplitRoute(),
@@ -253,37 +254,21 @@ TEST(RewriteTest, InsertStructuredByDefault) {
 }
 
 TEST(RewriteTest, InsertCachedTextKeepsPlaceholders) {
-  // Cached-text lane: pass-through off, parameter binding on. The emitted
-  // text keeps `?` markers (stable across executions -> node parse-cache
-  // hits) and the unit carries the matching parameter slice.
-  engine::ScopedDmlPassThrough text_lane(false);
+  // The split keeps `?` markers (stable across executions) instead of
+  // inlining values, and the unit carries the matching parameter slice.
   RouteResult route;
   route.type = RouteType::kStandard;
   route.units.push_back(RouteUnit{"ds_0", {{"t_user", "t_user_0"}}, {1}});
   auto r = MustRewrite("INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ?)",
                        route, {Value(0), Value("a"), Value(2), Value("b")});
   ASSERT_EQ(r.units.size(), 1u);
-  EXPECT_NE(r.units[0].sql.find("(?, ?)"), std::string::npos);
-  EXPECT_EQ(r.units[0].sql.find("(2, 'b')"), std::string::npos);
+  const auto& dialect = sql::Dialect::Get(sql::DialectType::kMySQL);
+  std::string rendered = r.units[0].RenderSQL(dialect);
+  EXPECT_NE(rendered.find("(?, ?)"), std::string::npos);
+  EXPECT_EQ(rendered.find("(2, 'b')"), std::string::npos);
   ASSERT_EQ(r.units[0].params.size(), 2u);
   EXPECT_EQ(r.units[0].params[0], Value(2));
   EXPECT_EQ(r.units[0].params[1], Value("b"));
-}
-
-TEST(RewriteTest, InsertParamsInlined) {
-  // Legacy remote-text lane: both knobs off inlines literals into the text
-  // (the pre-fast-lane behaviour; guaranteed node parse miss per distinct
-  // values).
-  engine::ScopedDmlPassThrough no_passthrough(false);
-  engine::ScopedDmlParamBinding no_binding(false);
-  RouteResult route;
-  route.type = RouteType::kStandard;
-  route.units.push_back(RouteUnit{"ds_0", {{"t_user", "t_user_0"}}, {1}});
-  auto r = MustRewrite("INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ?)",
-                       route, {Value(0), Value("a"), Value(2), Value("b")});
-  ASSERT_EQ(r.units.size(), 1u);
-  EXPECT_NE(r.units[0].sql.find("(2, 'b')"), std::string::npos);
-  EXPECT_TRUE(r.units[0].params.empty());
 }
 
 TEST(RewriteTest, SelectParamsPreserved) {
@@ -303,12 +288,15 @@ TEST(RewriteTest, StarWithAggregationRejected) {
 }
 
 TEST(RewriteTest, UpdateRenamed) {
-  engine::ScopedDmlPassThrough text_lane(false);
   auto r = MustRewrite("UPDATE t_user SET name = 'x' WHERE uid = 1",
                        TwoUnitRoute());
-  EXPECT_NE(r.units[0].sql.find("UPDATE t_user_0"), std::string::npos);
-  // Even on the text lane the rewritten AST rides along so observers (BASE
-  // undo capture) never re-parse the unit.
+  const auto& dialect = sql::Dialect::Get(sql::DialectType::kMySQL);
+  EXPECT_NE(r.units[0].RenderSQL(dialect).find("UPDATE t_user_0"),
+            std::string::npos);
+  EXPECT_NE(r.units[1].RenderSQL(dialect).find("UPDATE t_user_1"),
+            std::string::npos);
+  // The rewritten AST rides along so observers (BASE undo capture) never
+  // re-parse the unit.
   EXPECT_NE(r.units[0].stmt, nullptr);
   EXPECT_FALSE(r.merge.is_select);
 }

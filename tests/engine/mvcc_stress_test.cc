@@ -7,6 +7,7 @@
 // race / lock-order / use-after-free report in the sanitizer trees.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,12 +17,25 @@
 #include <gtest/gtest.h>
 
 #include "engine/pipeline.h"
+#include "engine/result_set.h"
 #include "engine/storage_node.h"
 #include "storage/mvcc.h"
+#include "common/clock.h"
+#include "common/rng.h"
 #include "storage/table.h"
 
 namespace sphere {
 namespace {
+
+/// Waits until `count` reaches `target`, for at most 30 s. False on timeout.
+bool WaitForCount(const std::atomic<int>& count, int target) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (count.load(std::memory_order_acquire) < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    SleepMicros(500);
+  }
+  return true;
+}
 
 // Transfers between accounts keep COUNT and SUM invariant; every snapshot —
 // no matter how it interleaves with commits, rollbacks and GC — must observe
@@ -49,13 +63,15 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
   }
 
   std::atomic<int> writers_done{0};
+  std::atomic<int> readers_scanned{0};  ///< readers with >= 1 finished scan
+  std::atomic<bool> wait_timed_out{false};
   std::atomic<int64_t> bad_snapshots{0};
   std::atomic<int64_t> reader_failures{0};
   std::atomic<int64_t> scans{0};
   std::vector<std::thread> threads;
 
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&node, &writers_done, w] {
+    threads.emplace_back([&, w] {
       // Each writer transfers within its own account partition: there is no
       // write-write conflict detection, so two transactions computing
       // `bal - ?` from the same committed image would lose one delta and
@@ -80,6 +96,12 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
                            {Value(amount), Value(to)})
                  .ok() &&
              ok;
+        // The final transaction stays open until every reader has finished
+        // a scan, so each reader overlaps at least one in-flight writer
+        // however the host schedules the threads.
+        if (i == kWriterTxns - 1 && !WaitForCount(readers_scanned, kReaders)) {
+          wait_timed_out.store(true);
+        }
         const char* end = (!ok || i % 3 == 0) ? "ROLLBACK" : "COMMIT";
         if (session->in_transaction()) session->Execute(end).ok();
       }
@@ -90,6 +112,7 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&] {
       auto session = node.OpenSession();
+      bool scanned = false;
       while (writers_done.load(std::memory_order_acquire) < kWriters) {
         auto res = session->Execute("SELECT COUNT(*), SUM(bal) FROM acct");
         if (!res.ok()) {
@@ -106,6 +129,10 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
           bad_snapshots.fetch_add(1, std::memory_order_relaxed);
         }
         scans.fetch_add(1, std::memory_order_relaxed);
+        if (!scanned) {
+          scanned = true;
+          readers_scanned.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
@@ -121,9 +148,12 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
   });
 
   for (auto& t : threads) t.join();
+  EXPECT_FALSE(wait_timed_out.load())
+      << "writers gave up after 30 s waiting for every reader's first scan";
   EXPECT_EQ(bad_snapshots.load(), 0);
   EXPECT_EQ(reader_failures.load(), 0);
   EXPECT_GT(scans.load(), 0);
+  EXPECT_EQ(readers_scanned.load(), kReaders);
 
   // Final state: still the initial totals, and GC can reduce every chain.
   auto check = node.OpenSession();
@@ -353,6 +383,84 @@ TEST(MvccStressTest, CommitTimeGcUnderPinnedReadersSettles) {
   ASSERT_TRUE(res->result_set->Next(&row));
   EXPECT_EQ(row[0].AsInt(), kAccounts);
   EXPECT_EQ(row[1].AsInt(), kAccounts * kInitialBalance);
+}
+
+// A non-indexed UPDATE must evaluate its WHERE on the same row image it
+// replaces. Three A sessions keep raising every row below 10 by one; session B
+// concurrently parks random rows at exactly 100 by primary key. If an A
+// filtered on an image read before another writer's change and then applied
+// its SET to the newer image, a row would end at 11 (another A raised it in
+// between) or 101 (B parked it). Every row must end at <= 10 or exactly 100,
+// under both concurrency-control modes.
+TEST(MvccStressTest, NonIndexedDmlSeesTheImageItMutates) {
+  constexpr int kRows = 256;
+  constexpr int kRaisers = 3;
+  constexpr int kPasses = 200;  ///< per A session
+  constexpr int kStart = 10 - kRaisers * kPasses;  ///< no row reaches 10 early
+  for (auto mode :
+       {engine::ConcurrencyControl::kLatch, engine::ConcurrencyControl::kMvcc}) {
+    engine::ScopedConcurrencyControl cc(mode);
+    engine::StorageNode node("ds_stale_where");
+    {
+      auto admin = node.OpenSession();
+      ASSERT_TRUE(
+          admin->Execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+      for (int i = 0; i < kRows; ++i) {
+        ASSERT_TRUE(admin
+                        ->Execute("INSERT INTO t VALUES (?, ?)",
+                                  {Value(i), Value(kStart)})
+                        .ok());
+      }
+    }
+    std::atomic<int> raisers_done{0};
+    std::atomic<int64_t> failures{0};
+    std::vector<std::thread> raisers;
+    for (int r = 0; r < kRaisers; ++r) {
+      raisers.emplace_back([&] {
+        auto session = node.OpenSession();
+        for (int i = 0; i < kPasses; ++i) {
+          if (!session->Execute("UPDATE t SET v = v + 1 WHERE v < 10").ok()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        raisers_done.fetch_add(1, std::memory_order_release);
+      });
+    }
+    std::thread b([&] {
+      auto session = node.OpenSession();
+      Rng rng(20261020);
+      while (raisers_done.load(std::memory_order_acquire) < kRaisers) {
+        if (!session
+                 ->Execute("UPDATE t SET v = 100 WHERE id = ?",
+                           {Value(rng.Uniform(0, kRows - 1))})
+                 .ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+    for (auto& t : raisers) t.join();
+    b.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    auto check = node.OpenSession();
+    auto res = check->Execute("SELECT id, v FROM t");
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    std::vector<Row> rows = engine::DrainResultSet(res->result_set.get());
+    ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+    int bad = 0;
+    for (const Row& row : rows) {
+      int64_t v = row[1].AsInt();
+      if (v > 10 && v != 100) {
+        if (++bad <= 5) {
+          ADD_FAILURE() << "row " << row[0].AsInt() << " ended at " << v;
+        }
+      }
+    }
+    EXPECT_EQ(bad, 0) << "rows mutated from a stale WHERE image (mode "
+                      << (mode == engine::ConcurrencyControl::kMvcc ? "mvcc"
+                                                                    : "latch")
+                      << ")";
+  }
 }
 
 }  // namespace

@@ -298,6 +298,47 @@ TEST_F(TransactionTest, BaseBranchCommitFailureSurfacesOnCommit) {
   EXPECT_DOUBLE_EQ(BalanceOf(1), 100.0);
 }
 
+// BASE image queries re-run a DML's WHERE as standalone text, so every
+// parameter must be inlined, including ones nested in a function call or a
+// CASE. The WHERE below cannot be routed by value, so every shard takes an
+// image; a later failing branch then forces compensation from those images.
+TEST_F(TransactionTest, BaseImageQueryInlinesParamInsideFunction) {
+  SetType(TransactionType::kBase);
+  ASSERT_TRUE(conn_->Begin().ok());
+  auto up = conn_->ExecuteSQL("UPDATE t_acct SET balance = ? WHERE id = ABS(?)",
+                              {Value(42.0), Value(-3)});
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  EXPECT_EQ(up->affected_rows, 1);
+  EXPECT_DOUBLE_EQ(BalanceOf(3), 42.0);  // branch-local commit is visible
+  EXPECT_FALSE(conn_->ExecuteSQL("INSERT INTO t_acct (id, balance, owner) "
+                                 "VALUES (2, 55.0, 'dup')")
+                   .ok());
+  EXPECT_FALSE(conn_->Commit().ok());
+  EXPECT_DOUBLE_EQ(BalanceOf(3), 100.0);  // pre-image restored
+  EXPECT_EQ(CountRows(), 8);
+  EXPECT_EQ(ds_->transaction_context()->tc()->active_transactions(), 0u);
+}
+
+TEST_F(TransactionTest, BaseImageQueryInlinesParamInsideCase) {
+  SetType(TransactionType::kBase);
+  ASSERT_TRUE(conn_->Begin().ok());
+  auto up = conn_->ExecuteSQL(
+      "UPDATE t_acct SET balance = balance + 1 "
+      "WHERE id = CASE WHEN ? > 0 THEN 5 ELSE 6 END",
+      {Value(1)});
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  EXPECT_EQ(up->affected_rows, 1);
+  EXPECT_DOUBLE_EQ(BalanceOf(5), 101.0);
+  EXPECT_FALSE(conn_->ExecuteSQL("INSERT INTO t_acct (id, balance, owner) "
+                                 "VALUES (2, 55.0, 'dup')")
+                   .ok());
+  EXPECT_FALSE(conn_->Commit().ok());
+  EXPECT_DOUBLE_EQ(BalanceOf(5), 100.0);  // pre-image restored
+  EXPECT_DOUBLE_EQ(BalanceOf(6), 100.0);
+  EXPECT_EQ(CountRows(), 8);
+  EXPECT_EQ(ds_->transaction_context()->tc()->active_transactions(), 0u);
+}
+
 TEST_F(TransactionTest, ParseTransactionTypeNames) {
   EXPECT_EQ(*ParseTransactionType("local"), TransactionType::kLocal);
   EXPECT_EQ(*ParseTransactionType("XA"), TransactionType::kXa);
